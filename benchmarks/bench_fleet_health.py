@@ -46,7 +46,6 @@ if __name__ == "__main__":  # script mode without PYTHONPATH=src
 
 from repro.bench.fleet import (
     run_fleet,
-    run_fleet_serial,
     run_health_fault_storm,
 )
 from repro.obs.health import (
@@ -161,7 +160,8 @@ def main(argv=None) -> int:
             print(f"[fleet] {app}: {args.procs} forked processes ...")
             run_fleet(app, fork_store, procs=args.procs)
             print(f"[fleet] {app}: same fleet, serial ...")
-            run_fleet_serial(app, serial_store, procs=args.procs)
+            run_fleet(app, serial_store, procs=args.procs,
+                      parallel=False)
 
             vis = _visibility(fork_store)
             orders = _order_invariance(fork_store, SHUFFLE_ORDERS)

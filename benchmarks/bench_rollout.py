@@ -45,13 +45,11 @@ if __name__ == "__main__":  # script mode without PYTHONPATH=src
     sys.path.insert(0, os.path.join(
         os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src"))
 
-from repro.bench.fleet import (
-    run_rollout_fleet,
-    run_rollout_fleet_serial,
-)
+from repro.bench.fleet import run_rollout_fleet
 from repro.bench.harness import run_app_session
 from repro.core.bugtypes import BugType
 from repro.core.patches import PatchPool
+from repro.rollout import RolloutConfig
 from repro.store import SharedPatchStore
 from repro.util.callsite import CallSite
 
@@ -98,7 +96,7 @@ def _disabled_equivalence(app_name: str, tmp: str) -> dict:
     must match byte-for-byte."""
     off = run_app_session(app_name, triggers=2, supervisor=False)
     on = run_app_session(app_name, triggers=2, supervisor=False,
-                         rollout=True,
+                         rollout=RolloutConfig(),
                          store_path=os.path.join(tmp, "eq.store.json"))
     return {
         "app": app_name,
@@ -161,8 +159,9 @@ def main(argv=None) -> int:
             forked = run_rollout_fleet(
                 app, os.path.join(tmp, f"{app}.fork.json"))
             print(f"[rollout] {app}: same fleet, serial ...")
-            serial = run_rollout_fleet_serial(
-                app, os.path.join(tmp, f"{app}.serial.json"))
+            serial = run_rollout_fleet(
+                app, os.path.join(tmp, f"{app}.serial.json"),
+                parallel=False)
             fleets[app] = _fleet_payload(forked)
             serial_vs_fork[app] = (forked.fleet_digest()
                                    == serial.fleet_digest())

@@ -33,11 +33,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.apps.registry import get_app
-from repro.bench.harness import spaced_workload
+from repro.bench.harness import map_specs, spaced_workload
 from repro.core.bugtypes import BugType
 from repro.core.patches import PatchPool, RuntimePatch
 from repro.core.runtime import FirstAidConfig, FirstAidRuntime
-from repro.store import FaultPlan, SharedPatchStore, TornWriteCrash
+from repro.store import SharedPatchStore, StoreFaultPlan, TornWriteCrash
 from repro.util.callsite import CallSite
 
 #: Fault kinds the storm cycles through, in rng order.
@@ -131,66 +131,37 @@ def _fleet_process(spec: Tuple[int, str, str, str, int, int, int]
 
 def run_fleet(app_name: str, store_path: str, procs: int = 4,
               triggers: int = 2,
-              leader_sampling_rate: int = 0) -> FleetRunResult:
+              leader_sampling_rate: int = 0,
+              parallel: bool = True) -> FleetRunResult:
     """The staged fleet experiment for one app: the leader process
     diagnoses and publishes, then ``procs - 1`` follower processes run
     the same workload concurrently against the shared store.  A
     nonzero ``leader_sampling_rate`` arms the leader with sampled
-    always-on detection; followers always run unsampled."""
+    always-on detection; followers always run unsampled.
+
+    ``parallel=False`` runs every member sequentially in this host
+    process: same roles, labels, seeds, and store protocol, no forking.
+    The health determinism gate needs both -- the fleet health report
+    aggregated from a serial run must be byte-identical to the forked
+    run's, which it can only be if beacons carry nothing
+    host-dependent (and, with a sampled leader, only if sample
+    selection is backend-independent)."""
     if procs < 2:
         raise ValueError("a fleet needs at least 2 processes")
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else None)
-
     # Stage 1: the leader suffers the bug, recovers, validates,
-    # publishes.  Its own OS process, so nothing leaks via memory.
-    with ProcessPoolExecutor(max_workers=1, mp_context=ctx) as pool:
-        leader = pool.submit(
-            _fleet_process,
-            (0, "leader", app_name, store_path, triggers, 42,
-             leader_sampling_rate)).result()
+    # publishes.  Forked, its own OS process, so nothing leaks via
+    # memory.
+    [leader] = map_specs(
+        _fleet_process,
+        [(0, "leader", app_name, store_path, triggers, 42,
+          leader_sampling_rate)], parallel)
 
     # Stage 2: the rest of the fleet, concurrently, one OS process
     # each.  Distinct workload seeds: same bug, different traffic.
     specs = [(i, "follower", app_name, store_path, triggers, 42 + i, 0)
              for i in range(1, procs)]
-    with ProcessPoolExecutor(max_workers=len(specs),
-                             mp_context=ctx) as pool:
-        followers = list(pool.map(_fleet_process, specs))
+    followers = map_specs(_fleet_process, specs, parallel)
 
-    store = SharedPatchStore(store_path, get_app(app_name).program().name)
-    state = store.load()
-    return FleetRunResult(
-        app=app_name, procs=procs, leader=leader, followers=followers,
-        store_generation=state.generation,
-        store_patches=len(state.patches),
-        store_validated=len(state.validated_keys()),
-        store_max_trigger=max(
-            (int(p.get("trigger_count", 0))
-             for p in state.patches.values()), default=0))
-
-
-def run_fleet_serial(app_name: str, store_path: str, procs: int = 4,
-                     triggers: int = 2,
-                     leader_sampling_rate: int = 0) -> FleetRunResult:
-    """The exact experiment of :func:`run_fleet` with every member run
-    sequentially in this host process: same roles, labels, seeds, and
-    store protocol, no forking.  Exists for the health determinism
-    gate -- the fleet health report aggregated from a serial run must
-    be byte-identical to the forked run's, which it can only be if
-    beacons carry nothing host-dependent (and, with a sampled leader,
-    only if sample selection is backend-independent)."""
-    if procs < 2:
-        raise ValueError("a fleet needs at least 2 processes")
-    leader = _fleet_process(
-        (0, "leader", app_name, store_path, triggers, 42,
-         leader_sampling_rate))
-    followers = [
-        _fleet_process(
-            (i, "follower", app_name, store_path, triggers, 42 + i, 0))
-        for i in range(1, procs)]
     store = SharedPatchStore(store_path, get_app(app_name).program().name)
     state = store.load()
     return FleetRunResult(
@@ -314,11 +285,11 @@ def _rollout_member(spec) -> RolloutMemberReport:
     """Run one rollout-fleet member (module-level: ships to forked
     workers)."""
     (index, role, app_name, store_path, label, triggers, seed,
-     fraction, bad_key) = spec
+     rollout, bad_key) = spec
     app = get_app(app_name)
     wl = spaced_workload(app, triggers=triggers, seed=seed)
     config = FirstAidConfig(store_path=store_path, process_label=label,
-                            rollout=True, canary_fraction=fraction)
+                            rollout=rollout)
     runtime = FirstAidRuntime(app.program(), input_tokens=wl.tokens,
                               config=config)
     started = time.perf_counter()
@@ -371,10 +342,10 @@ def run_rollout_fleet(app_name: str, store_path: str,
     Determinism gates ride along: the decision trail must be
     byte-identical across ``shuffles`` random permutations of the
     beacon list, a second controller tick must decide nothing, and
-    :func:`run_rollout_fleet_serial` (same spec, no forking) must
+    ``parallel=False`` (same spec, every member in this process) must
     produce the same :meth:`RolloutFleetResult.fleet_digest`."""
     from repro.obs.health import HealthChannel, health_path
-    from repro.rollout import (RolloutConfig, PromotionController,
+    from repro.rollout import (STAGED, RolloutConfig, PromotionController,
                                evaluate, pick_labels)
 
     program_name = get_app(app_name).program().name
@@ -389,13 +360,20 @@ def run_rollout_fleet(app_name: str, store_path: str,
     bad_pool = PatchPool(program_name)
     bad = bad_pool.new_patch(BugType.DOUBLE_FREE,
                              CallSite.intern([BAD_PATCH_FRAME]))
-    from repro.rollout import STAGED
     store.publish([bad], stage=STAGED)
     bad_key = bad.key
 
+    # One rollout config: members take their canary cohort from it,
+    # the promotion controller its gates.
+    cfg = RolloutConfig(canary_fraction=canary_fraction,
+                        min_observe_ns=min_observe_ns,
+                        max_failure_rate=0.0,
+                        max_latency_p99_ns=max_latency_p99_ns,
+                        min_canary_processes=1)
+
     def member(index, role, label, seed):
         return (index, role, app_name, store_path, label, triggers,
-                seed, canary_fraction, bad_key)
+                seed, cfg, bad_key)
 
     # Phase A: leader alone (publishes the real patch at STAGED), then
     # the exposed cohort.
@@ -404,24 +382,10 @@ def run_rollout_fleet(app_name: str, store_path: str,
         member(0, "canary-leader", leader_label, 42)))
     phase_a = [member(1, "canary", second_canary, 43),
                member(2, "early-follower", early_label, 44)]
-    if parallel:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(max_workers=len(phase_a),
-                                 mp_context=ctx) as pool:
-            members.extend(pool.map(_rollout_member, phase_a))
-    else:
-        members.extend(_rollout_member(spec) for spec in phase_a)
+    members.extend(map_specs(_rollout_member, phase_a, parallel))
 
     # The promotion controller consumes the cohort's evidence.
     channel = HealthChannel(health_path(store_path), program_name)
-    cfg = RolloutConfig(canary_fraction=canary_fraction,
-                        min_observe_ns=min_observe_ns,
-                        max_failure_rate=0.0,
-                        max_latency_p99_ns=max_latency_p99_ns,
-                        min_canary_processes=1)
     controller = PromotionController(store, channel, cfg)
     state_before = store.load()
     beacons = controller._beacons()
@@ -444,16 +408,7 @@ def run_rollout_fleet(app_name: str, store_path: str,
     # Phase B: late joiners reap the promoted patch.
     phase_b = [member(3 + i, "late-follower", label, 45 + i)
                for i, label in enumerate(late_labels)]
-    if parallel and phase_b:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(max_workers=len(phase_b),
-                                 mp_context=ctx) as pool:
-            members.extend(pool.map(_rollout_member, phase_b))
-    else:
-        members.extend(_rollout_member(spec) for spec in phase_b)
+    members.extend(map_specs(_rollout_member, phase_b, parallel))
 
     final = store.load()
     return RolloutFleetResult(
@@ -469,15 +424,6 @@ def run_rollout_fleet(app_name: str, store_path: str,
         store_generation=final.generation,
         order_invariant=order_invariant,
         shuffles=shuffles)
-
-
-def run_rollout_fleet_serial(app_name: str, store_path: str,
-                             **kw) -> RolloutFleetResult:
-    """:func:`run_rollout_fleet` with every member run sequentially in
-    this host process -- the other half of the serial-vs-fork
-    byte-identity gate."""
-    kw["parallel"] = False
-    return run_rollout_fleet(app_name, store_path, **kw)
 
 
 # ---------------------------------------------------------------------
@@ -600,7 +546,7 @@ def run_fault_storm(store_path: str, faults: int = 100,
     """Inject ``faults`` store faults while publishing churn patches;
     assert after every single fault that no validated patch was lost."""
     rng = random.Random(seed)
-    plan = FaultPlan()
+    plan = StoreFaultPlan()
     store = SharedPatchStore(store_path, "storm-app", faults=plan,
                              lock_timeout=5.0, stale_lock_after=0.02)
     pool = PatchPool("storm-app")

@@ -4,7 +4,7 @@ the cached three-configuration overhead sweep."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro.apps.base import App, Workload
 from repro.apps.registry import all_apps, real_bug_apps
@@ -15,6 +15,7 @@ from repro.core.runtime import FirstAidConfig, FirstAidRuntime, SessionResult
 from repro.heap.extension import ExtensionMode
 from repro.obs.telemetry import Telemetry
 from repro.process import Process
+from repro.rollout import RolloutConfig
 from repro.vm.program import Program
 from repro.workloads import ALLOC_INTENSIVE, SPEC_INT2000, build_kernel
 
@@ -31,6 +32,25 @@ def spaced_workload(app: App, triggers: int = 2,
     return app.workload(normal_before=40, triggers=triggers,
                         normal_between=spacing, normal_after=40,
                         seed=seed)
+
+
+def map_specs(fn: Callable, specs: Iterable, parallel: bool = True,
+              max_workers: Optional[int] = None) -> List:
+    """``[fn(spec) for spec in specs]``, in spec order.  With
+    ``parallel`` each call runs in a forked OS process (``max_workers``
+    at a time; default one per spec), so members share nothing through
+    memory; otherwise every call runs in this process.  ``fn`` must be
+    module-level so it ships to the workers."""
+    specs = list(specs)
+    if not parallel or not specs:
+        return [fn(spec) for spec in specs]
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+    methods = mp.get_all_start_methods()
+    ctx = mp.get_context("fork" if "fork" in methods else None)
+    with ProcessPoolExecutor(max_workers=max_workers or len(specs),
+                             mp_context=ctx) as pool:
+        return list(pool.map(fn, specs))
 
 
 def run_first_aid(app: App, workload: Optional[Workload] = None,
@@ -244,7 +264,7 @@ def run_app_session(app_name: str, triggers: int = 2,
                     supervisor: bool = True,
                     vm_tier: str = "reference",
                     search_policy: str = "fixed",
-                    rollout: bool = False,
+                    rollout: Optional[RolloutConfig] = None,
                     store_path: Optional[str] = None,
                     sampling_rate: int = 0) -> SessionDigest:
     """Run one app under First-Aid and digest the session.  Top-level
@@ -360,15 +380,8 @@ def fan_out_sessions(app_names: List[str], triggers: int = 2,
     sessions run in worker processes concurrently; results always merge
     in app order, so the output is backend-independent."""
     specs = [(name, triggers, workers) for name in app_names]
-    if fan_workers <= 1:
-        return [_session_task(spec) for spec in specs]
-    import multiprocessing as mp
-    from concurrent.futures import ProcessPoolExecutor
-    methods = mp.get_all_start_methods()
-    ctx = mp.get_context("fork" if "fork" in methods else None)
-    with ProcessPoolExecutor(max_workers=fan_workers,
-                             mp_context=ctx) as pool:
-        return list(pool.map(_session_task, specs))
+    return map_specs(_session_task, specs, parallel=fan_workers > 1,
+                     max_workers=fan_workers)
 
 
 def _overhead_task(key: Tuple[str, str]) -> Tuple[Tuple[str, str],
@@ -387,18 +400,9 @@ def overhead_sweep(configs: Tuple[str, ...] = ("off", "ext", "full"),
     either way, so downstream tables are identical."""
     keys = [(s.name, c) for s in overhead_subjects() for c in configs]
     missing = [k for k in keys if k not in _RUN_CACHE]
-    if workers > 1 and missing:
-        import multiprocessing as mp
-        from concurrent.futures import ProcessPoolExecutor
-        methods = mp.get_all_start_methods()
-        ctx = mp.get_context("fork" if "fork" in methods else None)
-        with ProcessPoolExecutor(max_workers=workers,
-                                 mp_context=ctx) as pool:
-            for key, run in pool.map(_overhead_task, missing):
-                _RUN_CACHE[key] = run
-    else:
-        for key in missing:
-            _overhead_task(key)
+    for key, run in map_specs(_overhead_task, missing,
+                              parallel=workers > 1, max_workers=workers):
+        _RUN_CACHE[key] = run
     return {k: _RUN_CACHE[k] for k in keys}
 
 

@@ -5,8 +5,8 @@ under periodic checkpointing; when an error monitor catches a failure,
 diagnose it, generate and apply runtime patches, recover by re-executing
 from the identified checkpoint with the patches active, then validate
 the patches on a clone (off the recovery path) and produce a bug
-report.  Patches persist in the pool -- optionally on disk -- so
-subsequent failures from the same bug never happen.
+report.  Patches persist in the pool -- on disk, through the shared
+patch store -- so subsequent failures from the same bug never happen.
 """
 
 from __future__ import annotations
@@ -37,6 +37,8 @@ from repro.obs.telemetry import Telemetry
 from repro.errors import StoreError
 from repro.parallel.executor import make_executor
 from repro.process import Process
+from repro.rollout import (STAGED, PromotionController, RolloutConfig,
+                           is_canary)
 from repro.store import SharedPatchStore, TornWriteCrash
 from repro.util.events import EventLog
 from repro.util.simclock import CostModel
@@ -44,43 +46,38 @@ from repro.vm.io import ReplayableInput
 from repro.vm.machine import RunReason, RunResult
 from repro.vm.program import Program
 
+#: Patched re-executions tried from the diagnosis checkpoint (each with
+#: fresh entropy) before recovery gives up; the ladder's plain-rollback
+#: rung uses the same budget.
+MAX_RECOVERY_ATTEMPTS = 2
+
 
 @dataclass
 class FirstAidConfig:
     """Tunables, with the paper's experimental defaults."""
 
     checkpoint_interval: int = DEFAULT_INTERVAL      # 200 ms equivalent
-    max_checkpoints: int = 64
-    adaptive_checkpointing: bool = True
     #: Incremental (delta/keyframe) checkpointing: each checkpoint
     #: stores only the pages dirtied since the previous one, with a
-    #: full keyframe every ``keyframe_every`` checkpoints bounding the
-    #: restore chain.  Disable to reproduce the seed's full-copy
-    #: behaviour for A/B measurements.
+    #: periodic full keyframe bounding the restore chain.  Disable to
+    #: reproduce the seed's full-copy behaviour for A/B measurements.
     incremental_checkpoints: bool = True
-    keyframe_every: int = 8
-    overhead_target: float = 0.05                    # T_overhead
-    max_interval: int = 20 * DEFAULT_INTERVAL        # T_checkpoint
     window_intervals: int = 3          # failure-region length (Sec 4.1)
-    max_checkpoint_search: int = 8     # phase-1 rollback budget
-    max_rollbacks: int = 200           # diagnosis timeout
     validate: bool = True
-    validation_iterations: int = 3
     quarantine_threshold: int = DEFAULT_THRESHOLD    # 1 MB
     #: Memory-pressure failsafe: total bytes runtime patches may hold
     #: (padding + delay-freed objects) before patching is disabled and
     #: the oldest delay-freed objects are released.  None = unlimited.
     max_patch_memory: Optional[int] = None
     heap_limit: int = DEFAULT_LIMIT
-    pool_path: Optional[str] = None    # persistent patch pool (JSON)
-    #: Crash-safe *shared* patch store (repro.store, DESIGN.md §9):
-    #: merge-on-write, file-locked, survives concurrent processes of
-    #: the same program.  Patches publish on creation and validation,
-    #: failed validation retracts them fleet-wide, and a periodic
-    #: refresh (every ``store_refresh_boundaries`` checkpoint
-    #: boundaries) absorbs patches other processes published mid-run.
-    #: Prefer this over ``pool_path`` whenever more than one process
-    #: may run the program.
+    #: Crash-safe *shared* patch store (repro.store, DESIGN.md §9), the
+    #: one on-disk home of runtime patches: merge-on-write, file-locked,
+    #: survives concurrent processes of the same program and later
+    #: runs.  The startup sync loads every patch already stored;
+    #: patches publish on creation and validation, failed validation
+    #: retracts them fleet-wide, and a periodic refresh (every
+    #: ``store_refresh_boundaries`` checkpoint boundaries) absorbs
+    #: patches other processes published mid-run.
     store_path: Optional[str] = None
     store_refresh_boundaries: int = 2
     #: Fleet health plane (repro.obs.health, DESIGN.md §12).  With a
@@ -99,7 +96,6 @@ class FirstAidConfig:
     #: plan); the chaos harness uses it to prove beacon corruption
     #: never touches recovery.
     health_faults: Optional[object] = None
-    max_recovery_attempts: int = 2
     entropy_seed: int = 1
     #: Worker processes for the parallel recovery engine.  1 (default)
     #: keeps every re-execution in-process on the original serial
@@ -167,20 +163,15 @@ class FirstAidConfig:
     #: byte-identical under all three.
     search_policy: str = "fixed"
     #: Health-gated staged rollout (repro.rollout, DESIGN.md §14).
-    #: Off (default): every store patch is adopted by everyone -- the
-    #: pre-rollout behavior, byte-identical digests.  On: patches this
+    #: None (default): every store patch is adopted by everyone -- the
+    #: pre-rollout behavior, byte-identical digests.  A
+    #: :class:`~repro.rollout.machine.RolloutConfig`: patches this
     #: process diagnoses publish at STAGED; only the canary cohort
-    #: (hash of ``process_label`` under ``canary_fraction``) absorbs
-    #: pre-fleet-wide patches, and a patch the fleet rolled back is
-    #: never (re-)adopted for the rest of this session.
-    rollout: bool = False
-    canary_fraction: float = 0.25
-    #: Promotion gates (see repro.rollout.machine.RolloutConfig), all
-    #: in simulated nanoseconds.
-    rollout_min_observe_ns: int = 200_000_000
-    rollout_max_failure_rate: float = 0.0
-    rollout_max_latency_p99_ns: int = 10_000_000_000
-    rollout_min_canary: int = 1
+    #: (hash of ``process_label`` under its ``canary_fraction``)
+    #: absorbs pre-fleet-wide patches, a patch the fleet rolled back is
+    #: never (re-)adopted for the rest of this session, and an
+    #: in-process promotion controller gates on its thresholds.
+    rollout: Optional[RolloutConfig] = None
     #: Run the promotion controller inside this process (at store-
     #: refresh boundaries and session exit).  Any process may carry
     #: it -- decisions are a pure function of store + beacons, and
@@ -256,7 +247,7 @@ class FirstAidRuntime:
                           else Telemetry(enabled=self.config.telemetry))
         self.events = events if events is not None \
             else EventLog(max_events=self.config.max_events)
-        self.pool = pool or self._load_pool(program.name)
+        self.pool = pool or PatchPool(program.name)
         #: Shared patch store (None without config.store_path).  The
         #: startup sync runs before the policy is built, so a patch any
         #: peer already published prevents its bug from this process's
@@ -283,9 +274,8 @@ class FirstAidRuntime:
         self._post_adopt_failures = {}   # patch_key -> failures while live
         self._rolled_back_keys = set()   # never re-adopt this session
         if self.config.rollout:
-            from repro.rollout import is_canary
             self._canary = is_canary(self._process_label,
-                                     self.config.canary_fraction)
+                                     self.config.rollout.canary_fraction)
         if self.config.store_path:
             self.store = SharedPatchStore(self.config.store_path,
                                           program.name)
@@ -296,29 +286,13 @@ class FirstAidRuntime:
                     health_path(self.config.store_path), program.name,
                     faults=self.config.health_faults)
                 self.health.events = self.events
-        self.process = Process(
-            program,
-            input_tokens=input_tokens,
-            input_stream=input_stream,
-            mode=ExtensionMode.NORMAL,
-            policy=None,
-            costs=costs,
-            heap_limit=self.config.heap_limit,
-            quarantine_threshold=self.config.quarantine_threshold,
-            entropy_seed=self.config.entropy_seed,
-            vm_tier=self.config.vm_tier,
-            sampling_rate=self.config.sampling_rate,
-        )
+        self.policy = PatchPolicy(self.pool)
+        self.process = self._spawn_process(
+            program, costs, input_tokens=input_tokens,
+            input_stream=input_stream)
         #: The session's base cost model, kept for restart respawns (a
         #: chaos fault could interrupt an engine mid cost-model swap).
         self._costs = self.process.costs
-        self.policy = PatchPolicy(self.pool)
-        self.process.extension.policy = self.policy
-        self.process.extension.patch_memory_limit = \
-            self.config.max_patch_memory
-        if self.config.chaos is not None:
-            self.process.extension.sampling_chaos = self.config.chaos
-        self.process.attach_telemetry(self.telemetry)
         if self.telemetry.enabled:
             self.events.tap = self.telemetry.recorder.record_event
         self.manager = self._make_manager()
@@ -330,7 +304,7 @@ class FirstAidRuntime:
             self.config.workers, program, self.telemetry,
             task_timeout_s=self.config.worker_timeout_s)
         self.validator = ValidationEngine(
-            self.config.validation_iterations, self.events,
+            events=self.events,
             telemetry=self.telemetry, executor=self.executor,
             store=self.store, chaos=self.config.chaos)
         #: Session-owned search state: static facts cached per program,
@@ -343,17 +317,36 @@ class FirstAidRuntime:
         self.recoveries: List[RecoveryRecord] = []
         self._recovery_supervisor = None
 
+    def _spawn_process(self, program: Program,
+                       costs: Optional[CostModel], **io) -> Process:
+        """A normal-mode process running under the session's patch
+        policy, patch-memory limit, sampling chaos and telemetry.
+        ``io`` carries the input (and, on respawn, the clock and
+        output log) the new process continues from."""
+        process = Process(
+            program,
+            mode=ExtensionMode.NORMAL,
+            policy=self.policy,
+            costs=costs,
+            heap_limit=self.config.heap_limit,
+            quarantine_threshold=self.config.quarantine_threshold,
+            entropy_seed=self.config.entropy_seed,
+            vm_tier=self.config.vm_tier,
+            sampling_rate=self.config.sampling_rate,
+            **io,
+        )
+        process.extension.patch_memory_limit = self.config.max_patch_memory
+        if self.config.chaos is not None:
+            process.extension.sampling_chaos = self.config.chaos
+        process.attach_telemetry(self.telemetry)
+        return process
+
     def _make_manager(self) -> CheckpointManager:
         manager = CheckpointManager(
             self.process,
             interval=self.config.checkpoint_interval,
-            max_keep=self.config.max_checkpoints,
-            adaptive=self.config.adaptive_checkpointing,
-            overhead_target=self.config.overhead_target,
-            max_interval=self.config.max_interval,
             events=self.events,
             incremental=self.config.incremental_checkpoints,
-            keyframe_every=self.config.keyframe_every,
             telemetry=self.telemetry,
             chaos=self.config.chaos,
         )
@@ -379,12 +372,6 @@ class FirstAidRuntime:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-    def _load_pool(self, program_name: str) -> PatchPool:
-        path = self.config.pool_path
-        if path:
-            return PatchPool.load_or_create(path, program_name)
-        return PatchPool(program_name)
 
     # ------------------------------------------------------------------
     # shared patch store (DESIGN.md §9)
@@ -454,7 +441,6 @@ class FirstAidRuntime:
             return
         try:
             if self.config.rollout:
-                from repro.rollout import STAGED
                 state = self.store.publish(patches, stage=STAGED,
                                            restage=restage)
             else:
@@ -494,19 +480,9 @@ class FirstAidRuntime:
             return
         try:
             if self._rollout_controller is None:
-                from repro.rollout import (PromotionController,
-                                           RolloutConfig)
-                cfg = RolloutConfig(
-                    canary_fraction=self.config.canary_fraction,
-                    min_observe_ns=self.config.rollout_min_observe_ns,
-                    max_failure_rate=self.config
-                    .rollout_max_failure_rate,
-                    max_latency_p99_ns=self.config
-                    .rollout_max_latency_p99_ns,
-                    min_canary_processes=self.config
-                    .rollout_min_canary)
                 self._rollout_controller = PromotionController(
-                    self.store, self.health, cfg, events=self.events)
+                    self.store, self.health, self.config.rollout,
+                    events=self.events)
             decisions = self._rollout_controller.tick(
                 time_ns=self.process.clock.now_ns)
         except Exception as exc:  # noqa: BLE001 - degrade, never die
@@ -782,25 +758,9 @@ class FirstAidRuntime:
         baseline's semantics -- plus a fresh checkpoint manager (old
         checkpoints describe a heap that no longer exists)."""
         old = self.process
-        self.process = Process(
-            old.program,
-            input_stream=old.input,
-            mode=ExtensionMode.NORMAL,
-            policy=self.policy,
-            clock=old.clock,
-            costs=self._costs,
-            heap_limit=self.config.heap_limit,
-            quarantine_threshold=self.config.quarantine_threshold,
-            entropy_seed=self.config.entropy_seed,
-            output=old.output,
-            vm_tier=self.config.vm_tier,
-            sampling_rate=self.config.sampling_rate,
-        )
-        self.process.extension.patch_memory_limit = \
-            self.config.max_patch_memory
-        if self.config.chaos is not None:
-            self.process.extension.sampling_chaos = self.config.chaos
-        self.process.attach_telemetry(self.telemetry)
+        self.process = self._spawn_process(
+            old.program, self._costs, input_stream=old.input,
+            clock=old.clock, output=old.output)
         self.manager = self._make_manager()
 
     def _handle_failure_traced(self, failure: FailureEvent,
@@ -810,9 +770,7 @@ class FirstAidRuntime:
         diag_log = EventLog(max_events=self.config.max_events)
         engine = DiagnosticEngine(
             self.process, self.manager, self.pool, diag_log,
-            max_checkpoint_search=self.config.max_checkpoint_search,
             window_intervals=self.config.window_intervals,
-            max_rollbacks=self.config.max_rollbacks,
             telemetry=self.telemetry,
             executor=self.executor,
             chaos=self.config.chaos,
@@ -887,8 +845,6 @@ class FirstAidRuntime:
         self.events.emit(self.process.clock.now_ns, "recovery.done",
                          time_s=record.recovery_time_ns / 1e9,
                          patches=len(diagnosis.patches))
-        if self.config.pool_path:
-            self.pool.save(self.config.pool_path)
         if self.config.rollout:
             # Self-diagnosed patches count as adopted from now on
             # (post-adopt attribution), and a fresh diagnosis of a
@@ -949,8 +905,6 @@ class FirstAidRuntime:
                                               diagnosis.patches])
                 for patch in diagnosis.patches:
                     patch.validated = True
-                if self.config.pool_path:
-                    self.pool.save(self.config.pool_path)
                 # Publish on validation: the validated flag is sticky
                 # in the store's merge, making the patch trustworthy
                 # fleet-wide.
@@ -972,7 +926,7 @@ class FirstAidRuntime:
         """Re-execute from the diagnosis checkpoint in normal mode with
         patches applied; True when the failure region is passed."""
         checkpoint = diagnosis.checkpoint
-        for attempt in range(self.config.max_recovery_attempts):
+        for attempt in range(MAX_RECOVERY_ATTEMPTS):
             with self.telemetry.span("recovery.attempt",
                                      attempt=attempt) as att_span:
                 with self.telemetry.span("rollback",

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.store.base import SharedStateChannel
-from repro.store.faults import FaultPlan as StoreFaultPlan
+from repro.store.faults import StoreFaultPlan
 from repro.store.locking import DEFAULT_STALE_AFTER
 
 BEACON_FORMAT = "first-aid-health-beacon"

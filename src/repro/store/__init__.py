@@ -7,12 +7,12 @@ cheap refresh, and fault injection for its failure modes.
 """
 
 from repro.store.base import SharedStateChannel
-from repro.store.faults import FaultPlan, TornWriteCrash
+from repro.store.faults import StoreFaultPlan, TornWriteCrash
 from repro.store.locking import FileLock
 from repro.store.store import SharedPatchStore, StoreState
 
 __all__ = [
-    "FaultPlan",
+    "StoreFaultPlan",
     "TornWriteCrash",
     "FileLock",
     "SharedPatchStore",

@@ -48,7 +48,7 @@ import os
 import tempfile
 from typing import Optional
 
-from repro.store.faults import FaultPlan, TornWriteCrash
+from repro.store.faults import StoreFaultPlan, TornWriteCrash
 from repro.store.locking import DEFAULT_STALE_AFTER, FileLock
 
 
@@ -62,11 +62,11 @@ class SharedStateChannel:
     def __init__(self, path: str, program_name: Optional[str],
                  lock_timeout: float = 5.0,
                  stale_lock_after: float = DEFAULT_STALE_AFTER,
-                 faults: Optional[FaultPlan] = None):
+                 faults: Optional[StoreFaultPlan] = None):
         self.path = path
         self.backup_path = path + ".bak"
         self.program_name = program_name
-        self.faults = faults or FaultPlan()
+        self.faults = faults or StoreFaultPlan()
         self.lock = FileLock(path + ".lock", timeout=lock_timeout,
                              stale_after=stale_lock_after)
         directory = os.path.dirname(os.path.abspath(path))
@@ -157,7 +157,7 @@ class SharedStateChannel:
         consistent); corruption -- including a program-ownership
         mismatch -- is quarantined, never raised."""
         if self.faults.take("corrupt"):
-            FaultPlan.corrupt_file(self.path)
+            StoreFaultPlan.corrupt_file(self.path)
         state = self._read_candidate(self.path)
         if state is not None:
             self._loaded_from = "primary"
@@ -217,7 +217,7 @@ class SharedStateChannel:
         if self.faults.take("torn_write"):
             # Simulate a non-atomic writer dying mid-commit: torn bytes
             # at the primary path, the lock abandoned, the caller dead.
-            FaultPlan.tear_file(self.path, payload)
+            StoreFaultPlan.tear_file(self.path, payload)
             self.lock._abandon = True
             raise TornWriteCrash(f"injected torn write on {self.path}")
         self._write_atomic(self.path, payload)
@@ -229,7 +229,7 @@ class SharedStateChannel:
 
     def _locked(self) -> FileLock:
         if self.faults.take("stale_lock"):
-            FaultPlan.plant_stale_lock(self.lock.path)
+            StoreFaultPlan.plant_stale_lock(self.lock.path)
         return self.lock
 
     def _mutate(self, mutator):

@@ -2,10 +2,10 @@
 
 The store's crash-safety claims (ISSUE: "100 injected store faults lose
 zero validated patches") are only claims until something actually tears
-writes, abandons locks, and scribbles on payloads.  A :class:`FaultPlan`
-is an explicitly *armed* queue of faults the store consults at its
-vulnerable points; with nothing armed every check is a dict lookup that
-returns False, so production stores pay nothing.
+writes, abandons locks, and scribbles on payloads.  A
+:class:`StoreFaultPlan` is an explicitly *armed* queue of faults the
+store consults at its vulnerable points; with nothing armed every check
+is a dict lookup that returns False, so production stores pay nothing.
 
 Fault kinds
 -----------
@@ -32,7 +32,7 @@ from __future__ import annotations
 import json
 import os
 
-from repro.chaos.plan import FaultPlan as _BasePlan
+from repro.chaos.plan import FaultPlan
 
 KINDS = ("torn_write", "stale_lock", "corrupt")
 
@@ -43,7 +43,7 @@ class TornWriteCrash(Exception):
     code never raises it, and tests/benchmarks catch it explicitly."""
 
 
-class FaultPlan(_BasePlan):
+class StoreFaultPlan(FaultPlan):
     """The store's armed-fault queue: the arm/take/fired protocol comes
     from the shared :class:`repro.chaos.plan.FaultPlan` base; the
     store-specific effects live below."""

@@ -5,16 +5,16 @@ outliving the process that generated them: a patch diagnosed in one
 process must reach concurrent and future processes of the same program,
 and must survive the messy realities of shared files -- concurrent
 writers, processes dying mid-write, corrupted payloads, abandoned
-locks.  ``PatchPool.save()`` alone gives none of that: it is
-last-writer-wins, so two processes publishing interleaved silently
-erase each other's patches.
+locks.  A plain dump of each process's pool would give none of that:
+it is last-writer-wins, so two processes publishing interleaved
+silently erase each other's patches.
 
-:class:`SharedPatchStore` is the fix.  One JSON file per program, built
-on the generic crash-safe channel machinery
-(:class:`~repro.store.base.SharedStateChannel`: sidecar file locking
-with stale-lock breaking, atomic double-written commits, corruption
-quarantine with backup fallback, generation counter, fault injection)
-plus the patch-specific merge semantics:
+:class:`SharedPatchStore` is the one on-disk home of runtime patches:
+one JSON file per program, built on the generic crash-safe channel
+machinery (:class:`~repro.store.base.SharedStateChannel`: sidecar file
+locking with stale-lock breaking, atomic double-written commits,
+corruption quarantine with backup fallback, generation counter, fault
+injection) plus the patch-specific merge semantics:
 
 * **Merge-on-write**: a mutation is read-modify-write under the lock.
   Patches union by :func:`~repro.core.patches.patch_key` identity
@@ -64,7 +64,7 @@ from repro.rollout.machine import (
     stage_of,
 )
 from repro.store.base import SharedStateChannel
-from repro.store.faults import FaultPlan
+from repro.store.faults import StoreFaultPlan
 from repro.store.locking import DEFAULT_STALE_AFTER
 
 STORE_FORMAT = "first-aid-patch-store"
@@ -141,7 +141,7 @@ class SharedPatchStore(SharedStateChannel):
     def __init__(self, path: str, program_name: str,
                  lock_timeout: float = 5.0,
                  stale_lock_after: float = DEFAULT_STALE_AFTER,
-                 faults: Optional[FaultPlan] = None):
+                 faults: Optional[StoreFaultPlan] = None):
         super().__init__(path, program_name,
                          lock_timeout=lock_timeout,
                          stale_lock_after=stale_lock_after,

@@ -45,6 +45,7 @@ from repro.baselines.restart import RESTART_DOWNTIME_NS
 from repro.core.changes import all_preventive_policy
 from repro.core.diagnosis import Diagnosis, Verdict
 from repro.core.report import BugReport
+from repro.core.runtime import MAX_RECOVERY_ATTEMPTS
 from repro.errors import CheckpointError
 from repro.heap.extension import ExtensionMode
 from repro.monitors.base import FailureEvent
@@ -227,8 +228,7 @@ class RecoverySupervisor:
             latest = rt.manager.latest()
         except CheckpointError as exc:
             return False, str(exc)
-        attempts = max(1, self.config.max_recovery_attempts)
-        for attempt in range(attempts):
+        for attempt in range(MAX_RECOVERY_ATTEMPTS):
             with rt.telemetry.span("recovery.rung",
                                    rung=int(Rung.ROLLBACK),
                                    attempt=attempt) as span:
@@ -247,7 +247,8 @@ class RecoverySupervisor:
                 span.set(passed=passed)
             if passed:
                 return True, ""
-        return False, (f"plain re-execution failed {attempts}x "
+        return False, (f"plain re-execution failed "
+                       f"{MAX_RECOVERY_ATTEMPTS}x "
                        f"from checkpoint #{latest.index}")
 
     def _rung_restart(self, failure: FailureEvent,

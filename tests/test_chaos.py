@@ -43,8 +43,8 @@ class TestFaultPlanProtocol:
         assert plan.total_fired() == 0
 
     def test_store_plan_shares_the_protocol(self):
-        from repro.store.faults import FaultPlan as StorePlan
-        plan = StorePlan()
+        from repro.store.faults import StoreFaultPlan
+        plan = StoreFaultPlan()
         assert isinstance(plan, FaultPlan)
         plan.arm("torn_write")
         assert plan.take("torn_write")

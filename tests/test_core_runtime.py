@@ -98,37 +98,36 @@ def test_events_trace_the_lifecycle():
 
 
 def test_patch_pool_persistence_across_runtimes(tmp_path):
-    pool_path = str(tmp_path / "srv.patches.json")
+    store_path = str(tmp_path / "srv.store.json")
     program = compile_program(OVERFLOW_SERVER, "srv")
-    config = small_config(pool_path=pool_path)
-    first = FirstAidRuntime(program,
-                            input_tokens=overflow_workload(1),
-                            config=config)
-    session = first.run()
+    config = small_config(store_path=store_path)
+    with FirstAidRuntime(program, input_tokens=overflow_workload(1),
+                         config=config) as first:
+        session = first.run()
     assert len(session.recoveries) == 1
     assert len(first.pool) == 1
 
     # a second process of the same program starts with the patch and
     # never fails at all
-    second = FirstAidRuntime(program,
-                             input_tokens=overflow_workload(2),
-                             config=config)
-    session2 = second.run()
+    with FirstAidRuntime(program, input_tokens=overflow_workload(2),
+                         config=config) as second:
+        session2 = second.run()
     assert session2.reason == "halt"
     assert session2.recoveries == []
     assert len(second.pool) == 1
 
 
 def test_validated_flag_persisted(tmp_path):
-    pool_path = str(tmp_path / "srv.patches.json")
+    store_path = str(tmp_path / "srv.store.json")
     program = compile_program(OVERFLOW_SERVER, "srv")
-    runtime = FirstAidRuntime(program,
-                              input_tokens=overflow_workload(1),
-                              config=small_config(pool_path=pool_path))
-    runtime.run()
-    from repro.core.patches import PatchPool
-    loaded = PatchPool.load(pool_path)
-    assert all(p.validated for p in loaded.patches())
+    with FirstAidRuntime(program, input_tokens=overflow_workload(1),
+                         config=small_config(store_path=store_path)
+                         ) as runtime:
+        runtime.run()
+    from repro.store import SharedPatchStore
+    state = SharedPatchStore(store_path, "srv").load()
+    assert len(state.patches) == 1
+    assert state.validated_keys() == list(state.patches)
 
 
 def test_budget_stops_cleanly():

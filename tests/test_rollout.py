@@ -351,18 +351,19 @@ def workload(triggers=1, spacing=60, prelude=20):
 
 
 class TestRuntimeIntegration:
-    def runtime(self, store_path, label, **kw):
+    def runtime(self, store_path, label, canary_fraction=0.25,
+                rollout=True):
         from repro.core.runtime import FirstAidConfig, FirstAidRuntime
         from repro.lang import compile_program
         program = compile_program(OVERFLOW_SERVER, "srv")
-        defaults = dict(checkpoint_interval=2000, validate=True,
-                        store_path=store_path, rollout=True,
-                        process_label=label,
-                        rollout_min_observe_ns=1_000_000)
-        defaults.update(kw)
+        config = FirstAidConfig(
+            checkpoint_interval=2000, validate=True,
+            store_path=store_path, process_label=label,
+            rollout=RolloutConfig(canary_fraction=canary_fraction,
+                                  min_observe_ns=1_000_000)
+            if rollout else None)
         return FirstAidRuntime(program, input_tokens=workload(1),
-                               config=defaults and FirstAidConfig(
-                                   **defaults))
+                               config=config)
 
     def srv_store(self, store_path):
         return SharedPatchStore(store_path, "srv")
@@ -437,9 +438,9 @@ class TestRuntimeIntegration:
             program, input_tokens=workload(1, spacing=400),
             config=FirstAidConfig(
                 checkpoint_interval=2000, validate=True,
-                store_path=store_path, rollout=True,
-                process_label="solo", canary_fraction=1.0,
-                rollout_min_observe_ns=1_000_000,
+                store_path=store_path, process_label="solo",
+                rollout=RolloutConfig(canary_fraction=1.0,
+                                      min_observe_ns=1_000_000),
                 rollout_controller=True,
                 store_refresh_boundaries=1))
         session = rt.run()

@@ -351,14 +351,14 @@ class TestSerialVsFork:
         aggregated health reports.  Holds only if sample selection is
         a pure function of (seed, rate, alloc_seq) -- no hash(), no
         RNG object state, nothing host-dependent."""
-        from repro.bench.fleet import run_fleet, run_fleet_serial
+        from repro.bench.fleet import run_fleet
         from repro.obs.health import aggregate_store
         fork_store = os.path.join(tmp_path, "fork.json")
         serial_store = os.path.join(tmp_path, "serial.json")
         run_fleet("pine", fork_store, procs=2, triggers=1,
                   leader_sampling_rate=64)
-        run_fleet_serial("pine", serial_store, procs=2, triggers=1,
-                         leader_sampling_rate=64)
+        run_fleet("pine", serial_store, procs=2, triggers=1,
+                  leader_sampling_rate=64, parallel=False)
         fork_report = aggregate_store(fork_store).to_json()
         serial_report = aggregate_store(serial_store).to_json()
         assert json.dumps(fork_report, sort_keys=True) \

@@ -10,7 +10,8 @@ import pytest
 from repro.core.bugtypes import BugType
 from repro.core.patches import PatchPool, RuntimePatch, patch_key
 from repro.errors import StoreLockTimeout
-from repro.store import FaultPlan, FileLock, SharedPatchStore, TornWriteCrash
+from repro.store import (FileLock, SharedPatchStore, StoreFaultPlan,
+                         TornWriteCrash)
 from repro.util.callsite import CallSite
 
 
@@ -199,7 +200,7 @@ class TestCrashSafety:
         pool = PatchPool("app")
         gold = make_patch(pool, validated=True)
         store.publish([gold])
-        FaultPlan.corrupt_file(store_path)
+        StoreFaultPlan.corrupt_file(store_path)
         store.publish([make_patch(pool, frames=(("h", 9),))])
         # primary readable again and contains both patches
         payload = json.load(open(store_path))
@@ -209,7 +210,8 @@ class TestCrashSafety:
 
 class TestFaultInjection:
     def make_store(self, store_path):
-        return SharedPatchStore(store_path, "app", faults=FaultPlan(),
+        return SharedPatchStore(store_path, "app",
+                                faults=StoreFaultPlan(),
                                 lock_timeout=5.0, stale_lock_after=0.02)
 
     def test_torn_write_crashes_publisher_but_loses_nothing(
@@ -275,7 +277,7 @@ class TestFileLock:
 
     def test_stale_lock_broken_by_age(self, tmp_path):
         path = str(tmp_path / "x.lock")
-        FaultPlan.plant_stale_lock(path)
+        StoreFaultPlan.plant_stale_lock(path)
         lock = FileLock(path, timeout=1.0, stale_after=0.5)
         lock.acquire()
         assert lock.stale_broken == 1

@@ -48,7 +48,9 @@ def semantic_runtime(**kw):
 
 class TestLadderEndToEnd:
     def test_non_patchable_survives_via_restart_floor(self):
-        runtime = semantic_runtime()
+        limit = 1 << 20
+        runtime = semantic_runtime(max_patch_memory=limit, telemetry=True)
+        original = runtime.process
         session = runtime.run()
         assert session.reason == "halt"
         assert session.survived_all
@@ -69,6 +71,14 @@ class TestLadderEndToEnd:
         assert any(e.kind == "recovery.restart" for e in runtime.events)
         assert record.report is not None
         assert "rung 4" in record.report.render(redact_times=True)
+        # The respawned process carries the session's patch-memory
+        # limit, patch policy and telemetry, like the original did.
+        respawned = runtime.process
+        assert respawned is not original
+        assert respawned.extension.patch_memory_limit == limit
+        assert respawned.extension.policy is runtime.policy
+        assert respawned.extension._flight is runtime.telemetry.recorder
+        assert respawned.machine.vm_metrics is not None
 
     def test_nondeterministic_failure_resolves_on_rung_one(self):
         # Find an entropy seed whose first run fails; the rung-1
