@@ -39,6 +39,7 @@ from repro.core.patches import PatchPool, RuntimePatch
 from repro.core.runtime import FirstAidConfig, FirstAidRuntime
 from repro.store import SharedPatchStore, StoreFaultPlan, TornWriteCrash
 from repro.util.callsite import CallSite
+from repro.util.events import EventLog
 
 #: Fault kinds the storm cycles through, in rng order.
 STORM_KINDS = ("torn_write", "stale_lock", "corrupt")
@@ -298,7 +299,7 @@ def _rollout_member(spec) -> RolloutMemberReport:
     patches = runtime.pool.patches()
     report = RolloutMemberReport(
         index=index, role=role, label=label,
-        canary=runtime._canary,
+        canary=runtime.fleet.canary,
         reason=session.reason,
         recoveries=len(session.recoveries),
         survived=session.survived_all and session.reason != "died",
@@ -491,7 +492,7 @@ def run_live_pickup(app_name: str, store_path: str,
         config=FirstAidConfig(store_path=store_path))
     leader.run()
     leader.close()
-    generation = leader.store.load().generation
+    generation = leader.fleet.store.load().generation
 
     session = follower.run()  # resumes; refresh picks the patch up
     patches = follower.pool.patches()
@@ -633,7 +634,7 @@ def run_health_fault_storm(store_path: str, faults: int = 48,
     report without raising."""
     from repro.obs.health import (FleetHealthAggregator, HealthBeacon,
                                   HealthChannel, HealthFaultPlan,
-                                  health_path)
+                                  health_path, publish_beacon)
 
     rng = random.Random(seed)
     store = SharedPatchStore(store_path, "storm-app")
@@ -647,6 +648,7 @@ def run_health_fault_storm(store_path: str, faults: int = 48,
                             faults=plan, stale_lock_after=0.02)
     result = HealthStormResult(faults_requested=faults,
                                validated_patches=len(gold_keys))
+    events = EventLog()
     started = time.perf_counter()
     seqs = {i: 0 for i in range(processes)}
     for i in range(faults):
@@ -660,16 +662,11 @@ def run_health_fault_storm(store_path: str, faults: int = 48,
             seq=seqs[proc], time_ns=(i + 1) * 1_000_000,
             failures=proc, recovered=proc)
         result.publishes_attempted += 1
-        # The runtime's guard, verbatim: torn writes force-break our
-        # own abandoned lock; everything else degrades to an error.
+        # The fleet member's own guard: torn writes force-break our
+        # own abandoned lock and retry once; every failure degrades to
+        # a health.error event.
         try:
-            try:
-                channel.publish(beacon)
-            except TornWriteCrash:
-                channel.lock.force_break()
-                result.health_errors += 1
-            except Exception:
-                result.health_errors += 1
+            publish_beacon(channel, beacon, events)
         except BaseException:
             result.health_raised += 1
         # Gate 1: health faults must never reach the patch store.
@@ -683,6 +680,8 @@ def run_health_fault_storm(store_path: str, faults: int = 48,
         except BaseException:
             result.health_raised += 1
     result.wall_s = time.perf_counter() - started
+    result.health_errors = sum(1 for e in events
+                               if e.kind == "health.error")
     result.faults_fired = dict(plan.fired)
     result.quarantined_files = channel.quarantined
     result.backup_recoveries = channel.recovered_from_backup

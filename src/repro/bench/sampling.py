@@ -326,7 +326,7 @@ def _ttfp_arm(app_name: str, store_path: str, rate: int,
                   if r.failure.monitor != "sampled-detection")
     stats = leader.process.extension.sampling_stats
     first_detection_ns = stats.first_detection_ns if stats else 0
-    prevented = leader._sampled_prevented
+    prevented = leader.sampled_prevented
     survived = session.survived_all and session.reason != "died"
     recoveries = len(session.recoveries)
     leader.close()

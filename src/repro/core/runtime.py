@@ -11,7 +11,6 @@ patch store -- so subsequent failures from the same bug never happen.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
@@ -21,25 +20,15 @@ from repro.core.diagnosis import Diagnosis, DiagnosticEngine, Verdict
 from repro.core.patches import PatchPolicy, PatchPool
 from repro.core.report import BugReport
 from repro.core.validation import ValidationEngine, ValidationResult
+from repro.fleet import FleetMember
 from repro.heap.base import DEFAULT_LIMIT
 from repro.heap.extension import ExtensionMode
 from repro.heap.quarantine import DEFAULT_THRESHOLD
 from repro.monitors import ErrorMonitor, FailureEvent, default_monitors
-from repro.obs.health import (
-    LATENCY_BOUNDS,
-    RECOVERY_BOUNDS,
-    HealthBeacon,
-    HealthChannel,
-    health_path,
-)
-from repro.obs.metrics import Histogram
 from repro.obs.telemetry import Telemetry
-from repro.errors import StoreError
 from repro.parallel.executor import make_executor
 from repro.process import Process
-from repro.rollout import (STAGED, PromotionController, RolloutConfig,
-                           is_canary)
-from repro.store import SharedPatchStore, TornWriteCrash
+from repro.rollout import RolloutConfig
 from repro.util.events import EventLog
 from repro.util.simclock import CostModel
 from repro.vm.io import ReplayableInput
@@ -73,19 +62,14 @@ class FirstAidConfig:
     #: Crash-safe *shared* patch store (repro.store, DESIGN.md §9), the
     #: one on-disk home of runtime patches: merge-on-write, file-locked,
     #: survives concurrent processes of the same program and later
-    #: runs.  The startup sync loads every patch already stored;
-    #: patches publish on creation and validation, failed validation
-    #: retracts them fleet-wide, and a periodic refresh (every
-    #: ``store_refresh_boundaries`` checkpoint boundaries) absorbs
-    #: patches other processes published mid-run.
+    #: runs, through a :class:`~repro.fleet.FleetMember`.  The startup
+    #: sync loads every patch already stored; patches publish on
+    #: creation and validation, failed validation retracts them
+    #: fleet-wide, and a refresh every ``store_refresh_boundaries``
+    #: checkpoint boundaries absorbs peers' patches mid-run and
+    #: publishes a health beacon into ``<store>.health`` (§12).
     store_path: Optional[str] = None
     store_refresh_boundaries: int = 2
-    #: Fleet health plane (repro.obs.health, DESIGN.md §12).  With a
-    #: shared store configured, the runtime publishes a
-    #: :class:`~repro.obs.health.HealthBeacon` into ``<store>.health``
-    #: at every store-refresh boundary and at session exit.  Health
-    #: failures degrade (``health.error`` events), never raise.
-    health: bool = True
     #: Stable fleet identity for this process's beacons.  Defaults to
     #: ``<program>#<pid>``, which is fine for ad-hoc runs; harnesses
     #: that need deterministic reports pass role labels ("leader-0",
@@ -248,44 +232,16 @@ class FirstAidRuntime:
         self.events = events if events is not None \
             else EventLog(max_events=self.config.max_events)
         self.pool = pool or PatchPool(program.name)
-        #: Shared patch store (None without config.store_path).  The
-        #: startup sync runs before the policy is built, so a patch any
-        #: peer already published prevents its bug from this process's
-        #: very first instruction.
-        self.store = None
-        self._store_generation = -1
-        self._boundaries_since_refresh = 0
-        #: Fleet health channel (None without a store or with
-        #: config.health off).  Rides next to the patch store and
-        #: reuses its crash-safe machinery; see repro.obs.health.
-        self.health = None
-        self._health_seq = 0
-        self._retractions = 0
         #: Sampled detections that ended in a validated patch: bugs
         #: caught and fixed *before* any crash (the fleet report's
         #: "prevented" column).
-        self._sampled_prevented = 0
-        self._process_label = (self.config.process_label
-                               or f"{program.name}#{os.getpid()}")
-        #: Rollout state (repro.rollout, DESIGN.md §14).  All sim-time.
-        self._canary = True
-        self._rollout_controller = None
-        self._adopted_ns = {}            # patch_key -> sim adoption time
-        self._post_adopt_failures = {}   # patch_key -> failures while live
-        self._rolled_back_keys = set()   # never re-adopt this session
-        if self.config.rollout:
-            self._canary = is_canary(self._process_label,
-                                     self.config.rollout.canary_fraction)
-        if self.config.store_path:
-            self.store = SharedPatchStore(self.config.store_path,
-                                          program.name)
-            self.store.events = self.events
-            self._store_sync(initial=True)
-            if self.config.health:
-                self.health = HealthChannel(
-                    health_path(self.config.store_path), program.name,
-                    faults=self.config.health_faults)
-                self.health.events = self.events
+        self.sampled_prevented = 0
+        #: Store sync, health beacons and rollout state (None without
+        #: config.store_path).  It syncs the store before the policy is
+        #: built: a patch any peer already published prevents its bug
+        #: from this process's very first instruction.
+        self.fleet = (FleetMember(self, program.name)
+                      if self.config.store_path else None)
         self.policy = PatchPolicy(self.pool)
         self.process = self._spawn_process(
             program, costs, input_tokens=input_tokens,
@@ -306,7 +262,7 @@ class FirstAidRuntime:
         self.validator = ValidationEngine(
             events=self.events,
             telemetry=self.telemetry, executor=self.executor,
-            store=self.store, chaos=self.config.chaos)
+            chaos=self.config.chaos)
         #: Session-owned search state: static facts cached per program,
         #: bandit arm statistics persisting across failures.  Imported
         #: lazily -- repro.search depends on repro.core.bugtypes, and
@@ -350,21 +306,17 @@ class FirstAidRuntime:
             telemetry=self.telemetry,
             chaos=self.config.chaos,
         )
-        if self.store is not None:
-            manager.on_boundary = self._store_refresh_tick
+        if self.fleet is not None:
+            manager.on_boundary = self.fleet.on_boundary
         return manager
 
     def close(self) -> None:
         """Release every external resource: the worker pool (no-op in
-        serial mode) and, defensively, the shared store's file lock
-        (idempotent; only held if a fault interrupted a store
-        operation mid-critical-section)."""
+        serial mode) and, defensively, the fleet's file locks."""
         if self.executor is not None:
             self.executor.close()
-        if self.store is not None:
-            self.store.lock.release()
-        if self.health is not None:
-            self.health.lock.release()
+        if self.fleet is not None:
+            self.fleet.close()
 
     def __enter__(self) -> "FirstAidRuntime":
         return self
@@ -372,245 +324,6 @@ class FirstAidRuntime:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-    # ------------------------------------------------------------------
-    # shared patch store (DESIGN.md §9)
-    # ------------------------------------------------------------------
-
-    def _store_sync(self, initial: bool = False) -> None:
-        """Absorb the shared store into the local pool (and drop
-        retracted patches); refreshes the policy when anything
-        changed.  Store failures are logged, never raised: a broken
-        shared file must not take down this process.
-
-        With rollout on, adoption is stage-filtered (non-canaries take
-        only fleet-wide records) and keys this session saw rolled back
-        are permanently refused -- a supervisor restart mid-session
-        must not smuggle a condemned patch back in."""
-        canary = self._canary if self.config.rollout else None
-        blocked = self._rolled_back_keys if self.config.rollout \
-            else None
-        try:
-            changed, state = self.store.sync_into(
-                self.pool, canary=canary, blocked=blocked)
-        except StoreError as exc:
-            self.events.emit(0, "store.error", op="sync",
-                             error=str(exc))
-            return
-        self._store_generation = state.generation
-        if self.config.rollout:
-            now = 0 if initial else self.process.clock.now_ns
-            newly = sorted(k for k in state.rolled_back
-                           if k not in self._rolled_back_keys)
-            for key in newly:
-                self._rolled_back_keys.add(key)
-                if self.pool.remove_key(key) is not None:
-                    changed = True
-            if newly:
-                self.events.emit(now, "rollout.blocked", keys=newly)
-            for patch in self.pool.patches():
-                self._adopted_ns.setdefault(patch.key, now)
-        if changed and not initial:
-            self.policy.refresh()
-            self.events.emit(self.process.clock.now_ns, "store.refresh",
-                             generation=state.generation,
-                             patches=len(self.pool))
-
-    def _store_refresh_tick(self) -> None:
-        """Checkpoint-boundary hook: every
-        ``store_refresh_boundaries``-th boundary, poll the store
-        generation and merge if a peer published or retracted."""
-        self._boundaries_since_refresh += 1
-        if self._boundaries_since_refresh \
-                < self.config.store_refresh_boundaries:
-            return
-        self._boundaries_since_refresh = 0
-        try:
-            generation = self.store.generation()
-        except StoreError as exc:
-            self.events.emit(0, "store.error", op="poll",
-                             error=str(exc))
-            return
-        if generation != self._store_generation:
-            self._store_sync()
-        self._health_publish("running")
-        self._rollout_tick()
-
-    def _store_publish(self, patches, restage: bool = False) -> None:
-        if self.store is None or not patches:
-            return
-        try:
-            if self.config.rollout:
-                state = self.store.publish(patches, stage=STAGED,
-                                           restage=restage)
-            else:
-                state = self.store.publish(patches)
-        except StoreError as exc:
-            self.events.emit(0, "store.error", op="publish",
-                             error=str(exc))
-            return
-        self._store_generation = state.generation
-        self.events.emit(self.process.clock.now_ns, "store.published",
-                         keys=[p.key for p in patches],
-                         generation=state.generation)
-
-    # ------------------------------------------------------------------
-    # staged rollout (DESIGN.md §14)
-    # ------------------------------------------------------------------
-
-    def _note_failure_for_rollout(self, time_ns: int) -> None:
-        """Attribute one failure to every patch that was live when it
-        struck (sim-time comparison): the canary evidence the
-        promotion controller gates on.  A patch adopted *after* the
-        failure is innocent."""
-        if not self.config.rollout:
-            return
-        for key, adopted in self._adopted_ns.items():
-            if adopted <= time_ns and self.pool.find_key(key) \
-                    is not None:
-                self._post_adopt_failures[key] = \
-                    self._post_adopt_failures.get(key, 0) + 1
-
-    def _rollout_tick(self) -> None:
-        """Run the promotion controller, when this process carries it.
-        Every failure degrades to a ``rollout.error`` event: rollout
-        bookkeeping must never take down the session."""
-        if not (self.config.rollout and self.config.rollout_controller) \
-                or self.store is None or self.health is None:
-            return
-        try:
-            if self._rollout_controller is None:
-                self._rollout_controller = PromotionController(
-                    self.store, self.health, self.config.rollout,
-                    events=self.events)
-            decisions = self._rollout_controller.tick(
-                time_ns=self.process.clock.now_ns)
-        except Exception as exc:  # noqa: BLE001 - degrade, never die
-            self.events.emit(0, "rollout.error", error=str(exc))
-            return
-        if decisions:
-            # Reflect our own promotions/rollbacks immediately (e.g. a
-            # canary controller dropping a patch it just condemned).
-            self._store_sync()
-
-    # ------------------------------------------------------------------
-    # fleet health plane (DESIGN.md §12)
-    # ------------------------------------------------------------------
-
-    def _health_beacon(self, reason: str) -> HealthBeacon:
-        """This process's health digest, right now.  Every field is a
-        full snapshot (not a delta) derived from sim-time-stamped,
-        locally-attributed state -- the same program on the same input
-        builds the same beacon sequence regardless of wall clock, pid,
-        or peer publish timing (the determinism the fleet report gates
-        on)."""
-        recoveries = self.recoveries
-        rung_counts = {}
-        for record in recoveries:
-            ran = [a for a in record.rung_trail
-                   if a.outcome != "skipped"]
-            if ran:
-                for attempt in ran:
-                    rung = str(attempt.rung)
-                    rung_counts[rung] = rung_counts.get(rung, 0) + 1
-            else:
-                # Supervisor off (or pre-ladder record): the resolving
-                # rung is all we know.
-                rung = str(record.rung)
-                rung_counts[rung] = rung_counts.get(rung, 0) + 1
-        diagnosed = {}
-        for record in recoveries:
-            if record.diagnosis is None:
-                continue
-            for patch in record.diagnosis.patches:
-                key = patch.key
-                diagnosed[key] = diagnosed.get(key, 0) + 1
-        patches = {}
-        for patch in self.pool.patches():
-            key = patch.key
-            patches[key] = {
-                "triggers": self.policy.local_triggers.get(key, 0),
-                "validated": patch.validated,
-                "created_time_ns": patch.created_time_ns,
-                "diagnosed": diagnosed.get(key, 0),
-            }
-            if self.config.rollout:
-                # Canary evidence for the promotion controller; only
-                # serialized under rollout so pre-rollout beacons stay
-                # byte-identical.
-                patches[key]["adopted_ns"] = self._adopted_ns.get(
-                    key, patch.created_time_ns)
-                patches[key]["post_adopt_failures"] = \
-                    self._post_adopt_failures.get(key, 0)
-        recovery = Histogram("recovery_ns", RECOVERY_BOUNDS)
-        for record in recoveries:
-            recovery.observe(record.recovery_time_ns)
-        latency = Histogram("latency_ns", LATENCY_BOUNDS)
-        prev = 0
-        for time_ns, _ in self.process.output.entries():
-            latency.observe(time_ns - prev)
-            prev = time_ns
-        sampling = {}
-        stats = self.process.extension.sampling_stats
-        if self.config.sampling_rate > 0 and stats is not None:
-            # Only serialized when sampling is on, so pre-sampling
-            # beacons stay byte-identical.
-            sampling = stats.to_dict()
-            sampling["rate"] = self.config.sampling_rate
-            sampling["prevented"] = self._sampled_prevented
-        self._health_seq += 1
-        return HealthBeacon(
-            canary=self._canary if self.config.rollout else False,
-            process_id=self._process_label,
-            app=self.process.program.name,
-            seq=self._health_seq,
-            time_ns=self.process.clock.now_ns,
-            reason=reason,
-            failures=len(recoveries),
-            recovered=sum(1 for r in recoveries if r.succeeded),
-            gave_up=sum(1 for r in recoveries if not r.succeeded),
-            restarts=sum(1 for r in recoveries if r.restarted),
-            retractions=self._retractions,
-            rung_counts=rung_counts,
-            patches=patches,
-            recovery_ns=recovery.to_snapshot(),
-            latency_ns=latency.to_snapshot(),
-            sampling=sampling,
-        )
-
-    def _health_publish(self, reason: str) -> None:
-        """Publish a beacon; the health path must never take down the
-        session, so every failure -- torn writes, lock timeouts, a
-        quarantined channel -- degrades to a ``health.error`` event."""
-        if self.health is None:
-            return
-        beacon = self._health_beacon(reason)
-        try:
-            self.health.publish(beacon)
-        except TornWriteCrash as exc:
-            # The injected "publisher died mid-commit" left torn bytes
-            # on disk and our own (live-pid) lock abandoned; ordinary
-            # staleness rules would stall until stale_after, but we
-            # *know* the holder is gone -- it was this very call -- so
-            # break the lock and retry once: this process survived, and
-            # its beacon matters precisely under fault storms.  The
-            # retry quarantines the torn file and recovers from the
-            # backup, the same ladder the patch store hardens.
-            self.health.lock.force_break()
-            self.events.emit(0, "health.error", op="publish",
-                             error=str(exc))
-            try:
-                self.health.publish(beacon)
-            except Exception as exc:
-                self.events.emit(0, "health.error", op="republish",
-                                 error=str(exc))
-                return
-        except Exception as exc:
-            self.events.emit(0, "health.error", op="publish",
-                             error=str(exc))
-            return
-        self.events.emit(self.process.clock.now_ns, "health.published",
-                         seq=beacon.seq, reason=reason)
 
     # ------------------------------------------------------------------
     # main loop
@@ -662,26 +375,16 @@ class FirstAidRuntime:
                     # A fault no monitor claims: treat as fatal.
                     return self._finish(SessionResult("died",
                                                       self.recoveries))
-            self._note_failure_for_rollout(failure.time_ns)
+            if self.fleet is not None:
+                self.fleet.note_failure(failure.time_ns)
             record = self._handle_failure(failure)
             self.recoveries.append(record)
             if not record.succeeded:
                 return self._finish(SessionResult("died", self.recoveries))
 
     def _finish(self, session: SessionResult) -> SessionResult:
-        """Session-exit bookkeeping: push this process's trigger counts
-        to the shared store (merge keeps the max), after a final sync
-        so a peer's retraction is honored rather than resurrected."""
-        if self.store is not None and len(self.pool):
-            self._store_sync()
-            self._store_publish(self.pool.patches())
-        # The exit beacon goes out even with an empty pool: a fleet
-        # view that only shows processes with patches cannot answer
-        # "did everyone survive?".
-        self._health_publish(session.reason)
-        # A controller-carrying process decides once more on the way
-        # out, with its own exit beacon already on the channel.
-        self._rollout_tick()
+        if self.fleet is not None:
+            self.fleet.session_exit(session.reason)
         return session
 
     def _detect_failure(self, result: RunResult) -> Optional[FailureEvent]:
@@ -762,6 +465,8 @@ class FirstAidRuntime:
             old.program, self._costs, input_stream=old.input,
             clock=old.clock, output=old.output)
         self.manager = self._make_manager()
+        if self.fleet is not None:
+            self.fleet.respawned()
 
     def _handle_failure_traced(self, failure: FailureEvent,
                                fast_path: bool = True) -> RecoveryRecord:
@@ -845,21 +550,8 @@ class FirstAidRuntime:
         self.events.emit(self.process.clock.now_ns, "recovery.done",
                          time_s=record.recovery_time_ns / 1e9,
                          patches=len(diagnosis.patches))
-        if self.config.rollout:
-            # Self-diagnosed patches count as adopted from now on
-            # (post-adopt attribution), and a fresh diagnosis of a
-            # rolled-back key is the one legitimate restage path.
-            now = self.process.clock.now_ns
-            for patch in diagnosis.patches:
-                self._adopted_ns.setdefault(patch.key, now)
-                if patch.key in self._rolled_back_keys:
-                    self.events.emit(now, "rollout.restaged",
-                                     key=patch.key)
-        # Publish on creation: peers start preventing this bug while we
-        # are still validating (a failed validation retracts below).
-        # Under rollout this enters at STAGED (restage=True: a fresh
-        # diagnosis outranks a rollback record).
-        self._store_publish(diagnosis.patches, restage=True)
+        if self.fleet is not None:
+            self.fleet.patches_created(diagnosis.patches)
 
         # Validation + report, off the recovery path (clone-based).
         if self.config.validate and diagnosis.checkpoint is not None:
@@ -869,11 +561,10 @@ class FirstAidRuntime:
                 fast_path=use_fast)
             record.validation = validation
             if not validation.consistent:
-                # The validator already retracted them from the shared
-                # store; drop them locally too.
+                if self.fleet is not None:
+                    self.fleet.retract(diagnosis.patches)
                 for patch in diagnosis.patches:
                     self.pool.remove(patch.patch_id)
-                self._retractions += 1
                 self.policy.refresh()
                 self.events.emit(self.process.clock.now_ns,
                                  "validation.failed",
@@ -898,7 +589,7 @@ class FirstAidRuntime:
                     return fallback
             else:
                 if use_fast:
-                    self._sampled_prevented += 1
+                    self.sampled_prevented += 1
                     self.events.emit(self.process.clock.now_ns,
                                      "sampling.prevented",
                                      patches=[p.key for p in
@@ -908,7 +599,8 @@ class FirstAidRuntime:
                 # Publish on validation: the validated flag is sticky
                 # in the store's merge, making the patch trustworthy
                 # fleet-wide.
-                self._store_publish(diagnosis.patches)
+                if self.fleet is not None:
+                    self.fleet.publish(diagnosis.patches)
         flight = None
         if self.telemetry.enabled:
             flight = self.telemetry.recorder.snapshot(

@@ -226,9 +226,9 @@ def main(argv=None) -> int:
 
     if args.jsonl:
         health = []
-        if runtime.health is not None:
+        if runtime.fleet is not None:
             health = list(
-                runtime.health.load().live_beacons().values())
+                runtime.fleet.health.load().live_beacons().values())
         with open(args.jsonl, "w") as fh:
             rows = export_jsonl(telemetry, fh, time_ns=now_ns,
                                 meta={"program": name,

@@ -33,7 +33,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.metrics import Histogram
 from repro.store.base import SharedStateChannel
-from repro.store.faults import StoreFaultPlan
+from repro.store.faults import StoreFaultPlan, TornWriteCrash
 from repro.store.locking import DEFAULT_STALE_AFTER
 
 BEACON_FORMAT = "first-aid-health-beacon"
@@ -354,6 +354,36 @@ class HealthChannel(SharedStateChannel):
         state = self._mutate(remove)
         self.retirements += 1
         return state
+
+
+def publish_beacon(channel: HealthChannel, beacon: HealthBeacon,
+                   events) -> bool:
+    """Publish ``beacon`` on ``channel`` without ever raising: the
+    health path must not take down the session, so every failure --
+    torn writes, lock timeouts, a quarantined channel -- degrades to a
+    ``health.error`` event on ``events``.  True once it landed."""
+    try:
+        channel.publish(beacon)
+    except TornWriteCrash as exc:
+        # The "publisher died mid-commit" left torn bytes on disk and
+        # our own (live-pid) lock abandoned.  We *know* the holder is
+        # gone -- it was this very call -- so break the lock and retry
+        # once (quarantining the torn file, recovering from backup):
+        # this process survived, and its beacon matters under storms.
+        channel.lock.force_break()
+        events.emit(0, "health.error", op="publish", error=str(exc))
+        try:
+            channel.publish(beacon)
+        except Exception as exc:
+            events.emit(0, "health.error", op="republish",
+                        error=str(exc))
+            return False
+    except Exception as exc:
+        events.emit(0, "health.error", op="publish", error=str(exc))
+        return False
+    events.emit(beacon.time_ns, "health.published", seq=beacon.seq,
+                reason=beacon.reason)
+    return True
 
 
 # ---------------------------------------------------------------------

@@ -276,13 +276,6 @@ class RecoverySupervisor:
                 target = cursor
             resumed_at = rt.process.input.skip_to(target)
             rt._respawn()
-        if rt.store is not None and rt.config.rollout:
-            # The fresh process must reflect the fleet's *current*
-            # stage view before serving again: a patch rolled back
-            # while this process was crashing must not ride into the
-            # restart through the stale local pool (the sync drops
-            # every key the store has condemned).
-            rt._store_sync()
         rt.events.emit(rt.process.clock.now_ns, "recovery.restart",
                        n=self.restarts, resumed_at=resumed_at,
                        downtime_ns=RESTART_DOWNTIME_NS)

@@ -66,13 +66,13 @@ def test_leader_publishes_validated_patch(store_path):
     runtime.close()
     assert len(session.recoveries) == 1
     assert session.recoveries[0].diagnosis.verdict is Verdict.PATCHED
-    state = runtime.store.load()
+    state = runtime.fleet.store.load()
     assert len(state.validated_keys()) == len(state.patches) == 1
     # generation advanced for creation-publish and validation-publish;
     # the session-exit sync republishes identical counts and is a
     # deliberate no-op commit (no merged-state change, no churn)
     assert state.generation >= 2
-    assert runtime.store.noop_mutations >= 1
+    assert runtime.fleet.store.noop_mutations >= 1
 
 
 def test_follower_prevents_at_first_occurrence(store_path):
@@ -101,7 +101,7 @@ def test_trigger_counts_aggregate_in_store(store_path):
     leader.close()
     leader_triggers = max(
         int(p.get("trigger_count", 0))
-        for p in leader.store.load().patches.values())
+        for p in leader.fleet.store.load().patches.values())
 
     follower = FirstAidRuntime(program, input_tokens=workload(3),
                                config=config(store_path))
@@ -109,7 +109,7 @@ def test_trigger_counts_aggregate_in_store(store_path):
     follower.close()
     store_triggers = max(
         int(p.get("trigger_count", 0))
-        for p in follower.store.load().patches.values())
+        for p in follower.fleet.store.load().patches.values())
     # the follower triggered the patch more (longer workload) and its
     # session-exit publish pushed the larger count into the store
     assert store_triggers >= leader_triggers
@@ -143,27 +143,45 @@ def test_midrun_refresh_absorbs_peer_publish(store_path):
     assert any(e.kind == "store.refresh" for e in follower.events)
 
 
-def test_failed_validation_retracts_fleet_wide(store_path):
-    """When validation rejects a patch, peers holding it drop it on
-    their next sync instead of keeping a patch one process disproved."""
+def test_failed_validation_retracts_fleet_wide(store_path, monkeypatch):
+    """When validation rejects a patch, the session retracts it from
+    the store, and a peer that absorbed it on publication drops it on
+    its next sync instead of keeping a patch one process disproved."""
+    from repro.chaos import ChaosPlan
+
+    chaos = ChaosPlan()
+    chaos.arm("validation_flaky")
     program = compile_program(OVERFLOW_SERVER, "srv")
     leader = FirstAidRuntime(program, input_tokens=workload(1),
-                             config=config(store_path))
-    leader.run()
-    leader.close()
-    [patch] = leader.pool.patches()
+                             config=config(store_path, chaos=chaos))
 
-    # a peer that already absorbed the patch
+    # a peer refreshes between publish-on-creation and validation
     peer_pool = PatchPool("srv")
     store = SharedPatchStore(store_path, "srv")
-    store.sync_into(peer_pool)
-    assert len(peer_pool) == 1
+    validate = leader.validator.validate
 
-    # validation elsewhere proves it inconsistent -> retraction
-    leader.validator._retract([patch])
+    def validate_after_peer_sync(*args, **kwargs):
+        store.sync_into(peer_pool)
+        return validate(*args, **kwargs)
+
+    monkeypatch.setattr(leader.validator, "validate",
+                        validate_after_peer_sync)
+    session = leader.run()
+    leader.close()
+    assert session.survived_all
+    [record] = session.recoveries
+    assert not record.validation.consistent
+    [patch] = record.diagnosis.patches
+    assert [p.key for p in peer_pool.patches()] == [patch.key]
+
     state = store.load()
     assert state.patches == {}
     assert patch.key in state.retracted
+    kinds = [e.kind for e in leader.events
+             if e.kind in ("validation.done", "store.retracted",
+                           "validation.failed")]
+    assert kinds == ["validation.done", "store.retracted",
+                     "validation.failed"]
 
     changed, _ = store.sync_into(peer_pool)
     assert changed
@@ -181,9 +199,7 @@ def test_store_error_does_not_crash_recovery(store_path, monkeypatch):
     def broken_publish(patches):
         raise StoreError("disk on fire")
 
-    monkeypatch.setattr(runtime.store, "publish", broken_publish)
-    monkeypatch.setattr(runtime.validator.store, "publish",
-                        broken_publish)
+    monkeypatch.setattr(runtime.fleet.store, "publish", broken_publish)
     session = runtime.run()
     runtime.close()
     assert session.reason == "halt"
@@ -201,9 +217,9 @@ def test_corrupt_store_at_startup_starts_fresh(store_path):
     session = runtime.run()
     runtime.close()
     assert session.survived_all
-    assert runtime.store.quarantined >= 1
+    assert runtime.fleet.store.quarantined >= 1
     # and the recovered-from-scratch store now has the patch
-    assert len(runtime.store.load().validated_keys()) == 1
+    assert len(runtime.fleet.store.load().validated_keys()) == 1
 
 
 def test_fault_storm_harness_reduced():
