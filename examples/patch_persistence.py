@@ -42,7 +42,7 @@ def main() -> None:
     rec = session1.recoveries[0]
     print(f"  diagnosed: {[b.value for b in rec.diagnosis.bug_types]}, "
           f"validated: {rec.validation.consistent}")
-    state = first.store.load()
+    state = first.fleet.store.load()
     print(f"  patch store written to {store_path} "
           f"(generation {state.generation}):")
     for key in state.patches:

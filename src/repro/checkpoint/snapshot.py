@@ -112,8 +112,8 @@ class Checkpoint:
         """Reconstruct the full-state :class:`ProcessSnapshot` this
         checkpoint denotes by overlaying the delta chain onto its
         keyframe.  Costs O(heap) -- use the manager's in-place rollback
-        for the common path; this exists for clones (validation) and
-        cross-process restores."""
+        for the common path; this exists for replay tasks (probes on
+        workers, validation) that restore into a fresh process."""
         buf = bytearray(self.mapped_bytes)
         needed: Set[int] = set(range(self.mapped_bytes // PAGE_SIZE))
         node: Optional[Checkpoint] = self

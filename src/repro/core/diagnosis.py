@@ -62,11 +62,16 @@ from repro.core.patches import PatchPool, RuntimePatch
 from repro.heap.extension import ExtensionMode, Manifestations
 from repro.monitors.base import FailureEvent
 from repro.obs.telemetry import Telemetry
-from repro.parallel.tasks import ReexecTask, encode_state
+from repro.parallel.tasks import (
+    PASS_REASONS,
+    ReexecTask,
+    build_task,
+    encode_state,
+)
 from repro.process import Process
 from repro.util.callsite import CallSite
 from repro.util.events import EventLog
-from repro.vm.machine import RunReason, RunResult
+from repro.vm.machine import RunResult
 
 
 #: gauge encoding for the ``diagnosis.search_policy`` metric
@@ -160,7 +165,7 @@ class _TaskBatch:
     batch's cumulative cost is the busiest lane, and consuming task i
     charges only the delta by which the busiest lane grew.  Rollback
     cost is modeled as a flat ``restore_base_ns`` per task (a worker
-    clones from the already-materialized snapshot -- fork/COW -- rather
+    restores the already-materialized snapshot -- fork/COW -- rather
     than patching pages back into the live heap).  Discarded
     speculation charges nothing (it ran on spare cores off the critical
     path) but is counted in ``parallel.tasks_discarded``.
@@ -685,8 +690,7 @@ class DiagnosticEngine:
                 process.set_costs(saved_costs)
             manifestations = process.extension.scan_manifestations()
             mark_corruptions = marking.scan() if marking else []
-            passed = result.reason in (RunReason.STOP, RunReason.HALT,
-                                       RunReason.INPUT_EXHAUSTED)
+            passed = result.reason in PASS_REASONS
             it_span.set(passed=passed, reason=result.reason.value)
         self.events.emit(
             process.clock.now_ns, "diagnosis.iteration",
@@ -744,22 +748,9 @@ class DiagnosticEngine:
                 - (process.input.journal_length - machine[4]))
         if need > 0:
             process.input.prefetch(need)
-        return ReexecTask(
-            kind="probe",
-            label=f"probe:cp{checkpoint.index}:salt{salt}",
-            state=enc,
-            journal=process.input.journal_slice(0),
-            output_prefix=process.output.entries()[:machine[5]],
-            window_end=window_end,
-            costs=process.costs.replay_model(),
-            heap_limit=process.mem.limit,
-            quarantine_threshold=process.extension
-            .quarantine.threshold_bytes,
-            patch_memory_limit=process.extension.patch_memory_limit,
-            salt=salt,
-            policy=req.policy,
-            mark=req.mark,
-            vm_tier=process.machine.tier)
+        return build_task(
+            process, "probe", f"probe:cp{checkpoint.index}:salt{salt}",
+            enc, window_end, salt, policy=req.policy, mark=req.mark)
 
     # ------------------------------------------------------------------
     # policies for phase 2

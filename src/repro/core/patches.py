@@ -185,24 +185,14 @@ class PatchPool:
     def policy(self) -> "PatchPolicy":
         return PatchPolicy(self)
 
-    def copy(self) -> "PatchPool":
-        """A deep, frozen copy: same patches (including live trigger
-        counts and validation flags) but fully decoupled objects, so
-        mutations on either side never cross over.  Validation clones
-        and re-execution workers run against a copy."""
-        pool = PatchPool(self.program_name)
-        for patch in self._patches.values():
-            pool._register(replace(patch))
-        pool._next_id = max(pool._next_id, self._next_id)
-        return pool
-
     @classmethod
     def from_patches(cls, program_name: str,
                      items: Iterable[dict]) -> "PatchPool":
         """Rebuild a pool from ``to_json()`` payloads (the wire form a
         validation task ships to a worker process).  Full fidelity:
-        trigger counts and validation flags survive the trip, honoring
-        :meth:`copy`'s contract for worker-side copies too."""
+        trigger counts and validation flags survive the trip, and the
+        rebuilt pool shares no objects with the source, so a worker's
+        trigger accounting never bleeds back into the live pool."""
         pool = cls(program_name)
         for item in items:
             pool._register(RuntimePatch.from_json(item))
@@ -239,13 +229,6 @@ class PatchPolicy(ChangePolicy):
         exists.  The sampling plane asks before raising a guard hit:
         an already-patched bug must not re-enter the pipeline."""
         return self._pool.find(bug_type, point) is not None
-
-    def frozen_copy(self) -> "PatchPolicy":
-        """A policy over a frozen copy of the pool (see
-        :meth:`PatchPool.copy`): clones and workers must not observe
-        patches installed after the copy, and their trigger-count
-        bookkeeping must not bleed into the live pool."""
-        return PatchPolicy(self._pool.copy())
 
     def on_alloc(self, callsite: Optional[CallSite]) -> AllocDecision:
         if callsite is None:

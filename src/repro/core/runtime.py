@@ -4,7 +4,7 @@ Ties together the whole working scenario of Figure 1: run the program
 under periodic checkpointing; when an error monitor catches a failure,
 diagnose it, generate and apply runtime patches, recover by re-executing
 from the identified checkpoint with the patches active, then validate
-the patches on a clone (off the recovery path) and produce a bug
+the patches on replay tasks (off the recovery path) and produce a bug
 report.  Patches persist in the pool -- on disk, through the shared
 patch store -- so subsequent failures from the same bug never happen.
 """
@@ -16,17 +16,19 @@ from dataclasses import dataclass, field
 from typing import Iterable, List, Optional
 
 from repro.checkpoint.manager import DEFAULT_INTERVAL, CheckpointManager
+from repro.checkpoint.snapshot import Checkpoint
 from repro.core.diagnosis import Diagnosis, DiagnosticEngine, Verdict
 from repro.core.patches import PatchPolicy, PatchPool
 from repro.core.report import BugReport
 from repro.core.validation import ValidationEngine, ValidationResult
 from repro.fleet import FleetMember
 from repro.heap.base import DEFAULT_LIMIT
-from repro.heap.extension import ExtensionMode
+from repro.heap.extension import ChangePolicy, ExtensionMode
 from repro.heap.quarantine import DEFAULT_THRESHOLD
 from repro.monitors import ErrorMonitor, FailureEvent, default_monitors
 from repro.obs.telemetry import Telemetry
 from repro.parallel.executor import make_executor
+from repro.parallel.tasks import PASS_REASONS
 from repro.process import Process
 from repro.rollout import RolloutConfig
 from repro.util.events import EventLog
@@ -553,7 +555,7 @@ class FirstAidRuntime:
         if self.fleet is not None:
             self.fleet.patches_created(diagnosis.patches)
 
-        # Validation + report, off the recovery path (clone-based).
+        # Validation + report, off the recovery path (replay tasks).
         if self.config.validate and diagnosis.checkpoint is not None:
             validation = self.validator.validate(
                 self.process, diagnosis.checkpoint, self.pool,
@@ -617,25 +619,33 @@ class FirstAidRuntime:
     def _recover(self, diagnosis: Diagnosis, window_end: int) -> bool:
         """Re-execute from the diagnosis checkpoint in normal mode with
         patches applied; True when the failure region is passed."""
-        checkpoint = diagnosis.checkpoint
         for attempt in range(MAX_RECOVERY_ATTEMPTS):
             with self.telemetry.span("recovery.attempt",
                                      attempt=attempt) as att_span:
-                with self.telemetry.span("rollback",
-                                         to_index=checkpoint.index):
-                    self.manager.rollback_to(checkpoint)
-                self.manager.drop_after(checkpoint)
-                self._back_to_normal()
-                self.process.reseed_entropy(
-                    self.config.entropy_seed + 7000 + attempt)
-                with self.telemetry.span("reexec"):
-                    result = self.process.run(stop_at=window_end)
-                passed = result.reason in (RunReason.STOP, RunReason.HALT,
-                                           RunReason.INPUT_EXHAUSTED)
+                result = self._replay(
+                    diagnosis.checkpoint, self.policy,
+                    self.config.entropy_seed + 7000 + attempt, window_end)
+                passed = result.reason in PASS_REASONS
                 att_span.set(passed=passed)
             if passed:
                 return True
         return False
+
+    def _replay(self, checkpoint: Checkpoint, policy: ChangePolicy,
+                salt: int, stop_at: int) -> RunResult:
+        """Roll the live process back to ``checkpoint`` (dropping every
+        later checkpoint) and re-execute to ``stop_at`` in normal mode
+        under ``policy`` with fresh entropy ``salt`` and tracing off.
+        Patched recovery and the ladder's rollback rungs all replay
+        through here; each caller owns its outer span and retry loop."""
+        with self.telemetry.span("rollback", to_index=checkpoint.index):
+            self.manager.rollback_to(checkpoint)
+        self.manager.drop_after(checkpoint)
+        self._back_to_normal()
+        self.process.extension.policy = policy
+        self.process.reseed_entropy(salt)
+        with self.telemetry.span("reexec"):
+            return self.process.run(stop_at=stop_at)
 
     def _back_to_normal(self) -> None:
         self.process.set_mode(ExtensionMode.NORMAL, self.policy)

@@ -13,11 +13,12 @@ checks that the patch's effect is consistent:
     offset within its memory object (addresses themselves differ run
     to run -- that is the point of the randomization).
 
-Validation operates on *clones* restored from the diagnosis checkpoint,
-so it runs off the recovery critical path, as the paper does on a spare
-core.  The three randomized runs plus the unpatched baseline are
-mutually independent, so they dispatch as one batch over an execution
-backend (:mod:`repro.parallel`): in-process with the default
+Validation operates on replay tasks restored from the diagnosis
+checkpoint (:func:`repro.parallel.tasks.run_task`), so it runs off the
+recovery critical path, as the paper does on a spare core.  The three
+randomized runs plus the unpatched baseline are mutually independent,
+so they dispatch as one batch over an execution backend
+(:mod:`repro.parallel`): in-process with the default
 :class:`~repro.parallel.executor.SerialExecutor`, across worker
 processes with a :class:`~repro.parallel.executor.ForkExecutor`.
 Consistency criteria evaluate on the results merged in task order, so
@@ -40,7 +41,7 @@ from repro.core.patches import PatchPool
 from repro.heap.extension import IllegalAccess, MMTraceEntry
 from repro.obs.telemetry import Telemetry
 from repro.parallel.executor import SerialExecutor, schedule_ns
-from repro.parallel.tasks import ReexecTask, encode_state
+from repro.parallel.tasks import ReexecTask, build_task, encode_state
 from repro.process import Process
 from repro.util.events import EventLog
 from repro.vm.machine import RunResult
@@ -55,7 +56,7 @@ class IterationTrace:
     result: RunResult
     mm_trace: List[MMTraceEntry] = field(default_factory=list)
     illegal_accesses: List[IllegalAccess] = field(default_factory=list)
-    #: Double frees the clone's extension swallowed (fast-path effect
+    #: Double frees the run's extension swallowed (fast-path effect
     #: evidence: a patch absorbing one proves the detection real even
     #: when the first free predates every checkpoint in the window).
     double_free_events: List = field(default_factory=list)
@@ -166,9 +167,9 @@ class ValidationEngine:
             with self.telemetry.span("validation.run",
                                      seed=seed) as run_span:
                 out = handle.result(i)
-                # Validation runs on clones off the recovery path;
-                # their cost is clone-clock time, recorded as an
-                # attribute rather than main-clock width.
+                # Validation runs off the recovery path; their cost
+                # is task-clock time, recorded as an attribute rather
+                # than main-clock width.
                 run_span.set(passed=out.passed,
                              clone_time_ns=out.time_ns)
             self._m_runs.inc()
@@ -215,48 +216,22 @@ class ValidationEngine:
     def _task(self, process: Process, state: tuple, pool: PatchPool,
               window_end: int, seed: int) -> ReexecTask:
         """One randomized validation run.  The patch set travels as
-        JSON (a frozen copy by construction); entropy follows the
-        legacy clone behavior: seed * 7919."""
-        return ReexecTask(
-            kind="validation",
-            label=f"validate:seed{seed}",
-            state=state,
-            journal=process.input.journal_slice(0),
-            output_prefix=process.output.entries()[:state[0][5]],
-            window_end=window_end,
-            costs=process.costs.replay_model(),
-            heap_limit=process.mem.limit,
-            quarantine_threshold=process.extension
-            .quarantine.threshold_bytes,
-            patch_memory_limit=process.extension.patch_memory_limit,
-            salt=seed * 7919,
+        JSON (a frozen copy by construction); entropy is seed * 7919."""
+        return build_task(
+            process, "validation", f"validate:seed{seed}", state,
+            window_end, salt=seed * 7919,
             patches_json=[p.to_json() for p in pool.patches()],
             pool_name=pool.program_name,
             seed=seed,
             trace_mm=True,
-            trace_accesses=True,
-            vm_tier=process.machine.tier)
+            trace_accesses=True)
 
     def _baseline_task(self, process: Process, state: tuple,
                        window_end: int) -> ReexecTask:
         """Unpatched re-execution (runs into the failure); its trace is
-        diffed against the patched traces in the bug report.  Salt 1
-        reproduces the legacy clone's fresh default entropy."""
-        return ReexecTask(
-            kind="baseline",
-            label="validate:baseline",
-            state=state,
-            journal=process.input.journal_slice(0),
-            output_prefix=process.output.entries()[:state[0][5]],
-            window_end=window_end,
-            costs=process.costs.replay_model(),
-            heap_limit=process.mem.limit,
-            quarantine_threshold=process.extension
-            .quarantine.threshold_bytes,
-            patch_memory_limit=process.extension.patch_memory_limit,
-            salt=1,
-            trace_mm=True,
-            vm_tier=process.machine.tier)
+        diffed against the patched traces in the bug report."""
+        return build_task(process, "baseline", "validate:baseline", state,
+                          window_end, salt=1, trace_mm=True)
 
     # ------------------------------------------------------------------
 

@@ -111,18 +111,6 @@ class ChangePolicy:
                 user_addr: int) -> FreeDecision:
         return FreeDecision.plain()
 
-    def frozen_copy(self) -> "ChangePolicy":
-        """A policy safe to hand to an independent clone or worker.
-
-        Stateless policies (the default, and diagnostic policies whose
-        tables never change after construction) return themselves.
-        Policies bound to live mutable state -- notably the patch-pool
-        policy -- override this to return a copy decoupled from that
-        state, so a patch installed concurrently cannot leak into a
-        clone's run.
-        """
-        return self
-
 
 @dataclass
 class ObjectInfo:

@@ -16,7 +16,7 @@ recovery produces a tree shaped like::
         rollback
         reexec
       validation
-        validation.run           (clone time; zero width on this clock)
+        validation.run           (task time; zero width on this clock)
 
 which is exactly the paper's Table 5 decomposition of recovery time.
 """

@@ -96,7 +96,7 @@ class ReexecTask:
     quarantine_threshold: int
     patch_memory_limit: Optional[int]
     #: entropy seed for this attempt (diagnosis salt or seed*7919 for
-    #: validation; 1 reproduces the unpatched baseline clone).
+    #: validation; 1 for the unpatched baseline run).
     salt: int
     policy: Optional[ChangePolicy] = None      # probes
     patches_json: Optional[List[dict]] = None  # validation patch set
@@ -124,6 +124,33 @@ class ReexecTask:
     vm_tier: str = "reference"
 
 
+def build_task(process: Process, kind: str, label: str, state: tuple,
+               window_end: int, salt: int, **extras: Any) -> ReexecTask:
+    """The one way to build a :class:`ReexecTask`.
+
+    The caller names the re-execution (``kind``, ``label``), its start
+    (``state``, an :func:`encode_state` payload), its end and entropy
+    salt, plus any kind-specific ``extras`` (policy, patch set, seed,
+    tracing flags).  Everything else is read off the live ``process``:
+    the input journal, the output history up to the snapshot, the
+    replay cost model, heap limit, quarantine threshold, patch-memory
+    limit and VM tier."""
+    return ReexecTask(
+        kind=kind,
+        label=label,
+        state=state,
+        journal=process.input.journal_slice(0),
+        output_prefix=process.output.entries()[:state[0][5]],
+        window_end=window_end,
+        costs=process.costs.replay_model(),
+        heap_limit=process.mem.limit,
+        quarantine_threshold=process.extension.quarantine.threshold_bytes,
+        patch_memory_limit=process.extension.patch_memory_limit,
+        salt=salt,
+        vm_tier=process.machine.tier,
+        **extras)
+
+
 @dataclass
 class TaskOutcome:
     """Everything a re-execution observed, shipped back in-order."""
@@ -132,7 +159,7 @@ class TaskOutcome:
     kind: str
     result: RunResult
     passed: bool
-    #: The re-execution's own clock time (its clone clock starts at 0),
+    #: The re-execution's own clock time (its task clock starts at 0),
     #: i.e. exactly what this attempt would have cost the live process.
     time_ns: int
     manifestations: Any            # heap.extension.Manifestations
@@ -147,9 +174,10 @@ class TaskOutcome:
 def run_task(program: Program, task: ReexecTask) -> TaskOutcome:
     """Execute one task in the current process.
 
-    Mirrors, step for step, what the in-process engines do to a clone:
-    restore the snapshot, install the policy/patches, reseed entropy,
-    run to the window end, then scan for manifestations.
+    Mirrors, step for step, what the live diagnostic re-execution does:
+    restore the snapshot into a fresh process, install the
+    policy/patches, reseed entropy, run to the window end, then scan
+    for manifestations.
     """
     if task.raise_marker:
         from repro.chaos.faults import ChaosError

@@ -2,9 +2,11 @@
 
 Everything First-Aid operates on is a :class:`Process`.  It bundles the
 substrate pieces, provides whole-process snapshot/restore (what a
-checkpoint contains), and can be cloned so the validation engine can
-work on "a snapshot of the program ... in parallel" (paper Section 2)
-without disturbing the recovering process.
+checkpoint contains).  Re-executions off the live process (diagnostic
+probes on workers, validation runs) build a fresh :class:`Process` from
+a snapshot through :func:`repro.parallel.tasks.run_task`, so the
+validation engine works on "a snapshot of the program ... in parallel"
+(paper Section 2) without disturbing the recovering process.
 """
 
 from __future__ import annotations
@@ -132,7 +134,7 @@ class Process:
         self.machine.entropy = DeterministicRNG(seed)
 
     # ------------------------------------------------------------------
-    # snapshot / restore / clone
+    # snapshot / restore
     # ------------------------------------------------------------------
 
     def snapshot(self) -> ProcessSnapshot:
@@ -186,28 +188,3 @@ class Process:
         randomized.restore((base_state, randomized.rng.getstate()))
         self.allocator = randomized
         self.extension.allocator = randomized
-
-    def clone(self, snap: Optional[ProcessSnapshot] = None) -> "Process":
-        """An independent process with the same program and a copy of
-        the input journal, restored to ``snap`` (or to this process's
-        current state).  Used by the validation engine."""
-        snap = snap or self.snapshot()
-        journal = self.input.journal_slice(0)
-        clone = Process(self.program,
-                        mode=self.extension.mode,
-                        policy=self.extension.policy.frozen_copy(),
-                        costs=self.costs,
-                        heap_limit=self.mem.limit,
-                        quarantine_threshold=self.extension
-                        .quarantine.threshold_bytes,
-                        vm_tier=self.machine.tier)
-        if snap.randomized:
-            clone.use_randomized_allocator(seed=1)
-        # Bulk-load the journal into the clone's input so the cursor in
-        # the snapshot points at recorded tokens, and carry over the
-        # output history up to the snapshot point.
-        clone.input.preload_journal(journal)
-        clone.output.preload(
-            self.output.entries()[:snap.machine.output_length])
-        clone.restore(snap)
-        return clone

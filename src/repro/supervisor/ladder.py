@@ -47,7 +47,6 @@ from repro.core.diagnosis import Diagnosis, Verdict
 from repro.core.report import BugReport
 from repro.core.runtime import MAX_RECOVERY_ATTEMPTS
 from repro.errors import CheckpointError
-from repro.heap.extension import ExtensionMode
 from repro.monitors.base import FailureEvent
 from repro.parallel.tasks import PASS_REASONS
 from repro.util.events import EventLog
@@ -199,17 +198,9 @@ class RecoverySupervisor:
         with rt.telemetry.span("recovery.rung",
                                rung=int(Rung.PREVENT_ALL),
                                to_index=oldest.index) as span:
-            with rt.telemetry.span("rollback", to_index=oldest.index):
-                rt.manager.rollback_to(oldest)
-            rt.manager.drop_after(oldest)
-            rt.process.set_mode(ExtensionMode.NORMAL,
-                                all_preventive_policy())
-            rt.process.machine.trace_accesses = False
-            rt.process.extension.trace_mm = False
-            rt.process.reseed_entropy(self.config.entropy_seed + 8000
-                                      + len(rt.recoveries))
-            with rt.telemetry.span("reexec"):
-                result = rt.process.run(stop_at=window_end)
+            result = rt._replay(oldest, all_preventive_policy(),
+                                self.config.entropy_seed + 8000
+                                + len(rt.recoveries), window_end)
             passed = result.reason in PASS_REASONS
             span.set(passed=passed)
         # Preventive mode covers the re-executed failure region only;
@@ -232,17 +223,10 @@ class RecoverySupervisor:
             with rt.telemetry.span("recovery.rung",
                                    rung=int(Rung.ROLLBACK),
                                    attempt=attempt) as span:
-                with rt.telemetry.span("rollback",
-                                       to_index=latest.index):
-                    rt.manager.rollback_to(latest)
-                rt.manager.drop_after(latest)
-                rt._back_to_normal()
-                rt.process.reseed_entropy(self.config.entropy_seed
-                                          + 9000
-                                          + 17 * len(rt.recoveries)
-                                          + attempt)
-                with rt.telemetry.span("reexec"):
-                    result = rt.process.run(stop_at=window_end)
+                result = rt._replay(latest, rt.policy,
+                                    self.config.entropy_seed + 9000
+                                    + 17 * len(rt.recoveries) + attempt,
+                                    window_end)
                 passed = result.reason in PASS_REASONS
                 span.set(passed=passed)
             if passed:

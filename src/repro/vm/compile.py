@@ -978,7 +978,7 @@ _CACHE_MAX = 64
 def compiled_for(program) -> CompiledProgram:
     """The (cached) compilation unit for ``program``: two programs with
     identical code share one unit, so every re-execution a recovery
-    performs -- clones, probes, validation runs, forked workers --
+    performs -- live replays, probes, validation runs, forked workers --
     reuses the same compiled blocks."""
     key = program.code_key()
     unit = _CACHE.get(key)

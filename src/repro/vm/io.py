@@ -72,9 +72,9 @@ class ReplayableInput:
         """Bulk-load recorded tokens into an untouched stream, leaving
         the cursor past them (as if every token had been consumed).
 
-        Used when cloning a process: the clone replays the original's
-        journal, and loading it in one call avoids the token-by-token
-        ``next()`` loop that made cloning O(journal) Python iterations.
+        Used by re-execution tasks: the task's process replays the
+        original's journal, and loading it in one call avoids a
+        token-by-token ``next()`` loop of O(journal) Python iterations.
         A subsequent ``restore(cursor)`` rewinds into the preloaded
         region.
         """
@@ -165,8 +165,8 @@ class OutputLog:
         del self._entries[length:]
 
     def preload(self, entries: List[Tuple[int, int]]) -> None:
-        """Seed a fresh log with another log's history (used when
-        cloning a process so the clone's output matches the original's
+        """Seed a fresh log with another log's history (used by
+        re-execution tasks so the task's output matches the original's
         up to the snapshot point)."""
         if self._entries:
             raise ValueError("preload requires an empty log")

@@ -120,7 +120,7 @@ class Program:
         """Structural identity of this program's code: two Program
         instances with the same key execute identically, so the
         compiled-tier cache (repro.vm.compile) shares one compilation
-        unit between them -- across clones, probes, and task
+        unit between them -- across probes, validation runs, and task
         encode/decode round-trips that rebuild the Program object."""
         key = getattr(self, "_code_key", None)
         if key is None:

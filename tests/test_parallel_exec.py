@@ -20,7 +20,7 @@ from repro.parallel.executor import (
     make_executor,
     schedule_ns,
 )
-from repro.parallel.tasks import ReexecTask, encode_state, run_task
+from repro.parallel.tasks import build_task, encode_state, run_task
 from repro.util.callsite import CallSite
 from repro.vm.machine import RunReason
 from tests.conftest import make_process, site
@@ -79,21 +79,10 @@ def overflow_failure(name="par"):
 
 def probe_task(process, checkpoint, window_end, salt=1234,
                fail_marker=False):
-    state = encode_state(checkpoint.materialize())
-    return ReexecTask(
-        kind="probe",
-        label=f"test:cp{checkpoint.index}",
-        state=state,
-        journal=process.input.journal_slice(0),
-        output_prefix=process.output.entries()[:state[0][5]],
-        window_end=window_end,
-        costs=process.costs.replay_model(),
-        heap_limit=process.mem.limit,
-        quarantine_threshold=process.extension.quarantine.threshold_bytes,
-        patch_memory_limit=process.extension.patch_memory_limit,
-        salt=salt,
-        policy=all_preventive_policy(),
-        trace_mm=True,
+    return build_task(
+        process, "probe", f"test:cp{checkpoint.index}",
+        encode_state(checkpoint.materialize()), window_end, salt,
+        policy=all_preventive_policy(), trace_mm=True,
         fail_marker=fail_marker)
 
 
@@ -186,35 +175,25 @@ class TestTaskRoundTrip:
 
 
 # ---------------------------------------------------------------------
-# frozen patch pools: clones are isolated from live installs
+# frozen patch sets: replay tasks are isolated from live installs
 # ---------------------------------------------------------------------
 
-class TestFrozenPoolClone:
-    def test_clone_policy_does_not_see_later_installs(self):
+class TestFrozenPatchSet:
+    def test_validation_task_does_not_see_later_installs(self):
         from repro.core.bugtypes import BugType
-        from repro.core.patches import PatchPolicy
+        from repro.core.validation import ValidationEngine
 
         process = make_process(OVERFLOW_APP, tokens=[8, 0], name="frz")
         pool = PatchPool("frz")
-        process.extension.policy = PatchPolicy(pool)
-        clone = process.clone()
         pool.new_patch(BugType.BUFFER_OVERFLOW, site(("main", 2)))
-        assert len(pool) == 1
-        assert len(clone.extension.policy._pool) == 0
-        assert clone.extension.policy._pool is not pool
-
-    def test_clone_trigger_counts_do_not_leak_back(self):
-        from repro.core.bugtypes import BugType
-        from repro.core.patches import PatchPolicy
-
-        process = make_process(OVERFLOW_APP, tokens=[8, 0], name="frz2")
-        pool = PatchPool("frz2")
-        patch = pool.new_patch(BugType.BUFFER_OVERFLOW, site(("main", 2)))
-        process.extension.policy = PatchPolicy(pool)
-        clone = process.clone()
-        clone_patch = clone.extension.policy._pool.get(patch.patch_id)
-        clone_patch.trigger_count += 5
-        assert patch.trigger_count == 0
+        task = ValidationEngine()._task(
+            process, encode_state(process.snapshot()), pool,
+            window_end=10 ** 6, seed=101)
+        pool.new_patch(BugType.DANGLING_WRITE, site(("main", 6)))
+        assert len(pool) == 2
+        out = run_task(process.program, task)
+        assert len(out.policy._pool) == 1
+        assert out.policy._pool is not pool
 
 
 # ---------------------------------------------------------------------

@@ -1,10 +1,13 @@
-"""Tests for Process snapshot/clone and the checkpoint manager."""
+"""Tests for Process snapshot/restore and the checkpoint manager."""
 
 import pytest
 
 from repro.checkpoint.manager import CheckpointManager
 from repro.errors import CheckpointError
 from repro.heap.extension import ExtensionMode
+from repro.parallel import tasks
+from repro.parallel.tasks import build_task, encode_state, run_task
+from repro.process import Process
 from repro.util.events import EventLog
 from repro.vm.machine import RunReason
 from tests.conftest import make_process
@@ -37,19 +40,29 @@ class TestProcessSnapshot:
         p.run()
         assert p.output.values() == first
 
-    def test_clone_replays_journaled_region(self):
-        # Clones replay the *recorded* input region (exactly what the
-        # validation engine needs); they do not see future live input.
+    def test_task_replays_journaled_region(self, monkeypatch):
+        # A replay task built from a mid-run snapshot replays the
+        # *recorded* input region (exactly what the validation engine
+        # needs); it does not see future live input.
         p = make_process(COUNTER_LOOP, tokens=[1, 2, 3, 0])
         p.run(max_steps=40)
         snap = p.snapshot()
         p.run()                      # original finishes, journal complete
         final = list(p.output.values())
-        clone = p.clone(snap)
-        assert clone.instr_count == snap.instr_count
-        clone.run()
-        assert clone.output.values() == final
-        # and the original was not disturbed by the clone's run
+        task = build_task(p, "baseline", "replay", encode_state(snap),
+                          window_end=10 ** 6, salt=1)
+        replays = []
+
+        class RecordingProcess(Process):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                replays.append(self)
+
+        monkeypatch.setattr(tasks, "Process", RecordingProcess)
+        out = run_task(p.program, task)
+        assert out.result.reason is RunReason.HALT
+        assert replays[0].output.values() == final
+        # and the original was not disturbed by the replay
         assert p.output.values() == final
 
     def test_randomized_allocator_swap(self):

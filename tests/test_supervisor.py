@@ -204,6 +204,25 @@ class TestNoFaultByteIdentity:
                  + phases["diagnosis_ns"] + phases["validation_ns"])
         assert total == phases["recovery_ns"]
 
+    def test_escalated_span_shape(self):
+        # Rungs 2 and 3 each replay as one rollback + reexec pair under
+        # their own recovery.rung span; the restart floor has none.
+        runtime = semantic_runtime(telemetry=True)
+        assert runtime.run().survived_all
+        recovery = runtime.telemetry.tracer.find_roots("recovery")[0]
+        shape = [(child.name, {k: v for k, v in child.attrs.items()
+                               if k != "passed"},
+                  [grand.name for grand in child.children])
+                 for child in recovery.children]
+        replay = ["rollback", "reexec"]
+        assert shape[0][0] == "diagnosis"
+        assert shape[1:] == [
+            ("recovery.rung", {"rung": 2, "to_index": 0}, replay),
+            ("recovery.rung", {"rung": 3, "attempt": 0}, replay),
+            ("recovery.rung", {"rung": 3, "attempt": 1}, replay),
+            ("recovery.rung", {"rung": 4, "n": 1}, []),
+        ]
+
 
 class TestRuntimeLifecycle:
     class _SentinelExecutor:
