@@ -196,6 +196,26 @@ class TestFrozenPatchSet:
         assert out.policy._pool is not pool
 
 
+class TestFrozenPoolClone:
+    def test_clone_trigger_counts_do_not_leak_back(self):
+        """The replay triggers the patch on the task's cloned pool; the
+        live patch's count is untouched."""
+        from repro.core.bugtypes import BugType
+        from repro.core.validation import ValidationEngine
+
+        process = make_process(OVERFLOW_APP, tokens=[8, 0], name="frz2")
+        pool = PatchPool("frz2")
+        patch = pool.new_patch(BugType.BUFFER_OVERFLOW, site(("main", 1)))
+        task = ValidationEngine()._task(
+            process, encode_state(process.snapshot()), pool,
+            window_end=10 ** 6, seed=101)
+        out = run_task(process.program, task)
+        clone_patch = out.policy._pool.get(patch.patch_id)
+        assert clone_patch.trigger_count == 1
+        clone_patch.trigger_count += 5
+        assert patch.trigger_count == 0
+
+
 # ---------------------------------------------------------------------
 # backend equivalence
 # ---------------------------------------------------------------------
