@@ -25,7 +25,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.errors import HeapCorruptionFault, OutOfMemoryFault
 from repro.heap.base import Memory
 from repro.heap.chunk import (
-    ALIGN,
+    FLAG_IN_USE,
+    FLAG_MASK,
     HEADER_SIZE,
     MIN_CHUNK,
     ChunkView,
@@ -46,7 +47,11 @@ class LeaAllocator:
     def __init__(self, mem: Memory):
         self.mem = mem
         # Exact-fit bins: chunk size -> LIFO list of chunk addresses.
+        # Only non-empty bins have a key.
         self._small_bins: Dict[int, List[int]] = {}
+        # Sorted keys of _small_bins: a miss finds the next larger
+        # non-empty bin with one bisect.
+        self._small_sizes: List[int] = []
         # Large free chunks as a sorted list of (size, addr).
         self._large: List[Tuple[int, int]] = []
         # Wilderness start.  Everything in [top, brk) is unused.
@@ -75,12 +80,11 @@ class LeaAllocator:
         addr = self._take_from_bins(need)
         if addr is None:
             addr = self._take_from_top(need)
-        chunk = ChunkView(self.mem, addr)
-        chunk.mark_in_use()
+        size = ChunkView(self.mem, addr).mark_in_use()
         self.n_mallocs += 1
-        self.live_user_bytes += chunk.user_size
+        self.live_user_bytes += size - HEADER_SIZE
         self.peak_heap_bytes = max(self.peak_heap_bytes, self.heap_used)
-        return chunk.user_addr
+        return addr + HEADER_SIZE
 
     def free(self, user_addr: int) -> None:
         """Return a chunk to the free structures.
@@ -97,15 +101,16 @@ class LeaAllocator:
                 f"free of wild pointer 0x{user_addr:x}",
                 address=user_addr)
         chunk = ChunkView(self.mem, user_addr - HEADER_SIZE)
-        chunk.validate(self.mem.base, self.top)
-        if not chunk.in_use:
+        size_flags = chunk.validate(self.mem.base, self.top)
+        if not size_flags & FLAG_IN_USE:
             raise HeapCorruptionFault(
                 f"double free or corruption at 0x{user_addr:x}",
                 address=user_addr)
+        size = size_flags & ~FLAG_MASK
         self.n_frees += 1
-        self.live_user_bytes -= chunk.user_size
-        chunk.mark_free()
-        self._coalesce_and_store(chunk)
+        self.live_user_bytes -= size - HEADER_SIZE
+        chunk.size_flags = size_flags & ~FLAG_IN_USE
+        self._coalesce_and_store(chunk.addr, size)
 
     def usable_size(self, user_addr: int) -> int:
         return ChunkView(self.mem, user_addr - HEADER_SIZE).user_size
@@ -121,7 +126,7 @@ class LeaAllocator:
 
     def iter_free_chunks(self) -> Iterator[ChunkView]:
         """All binned free chunks (not the wilderness)."""
-        for size in sorted(self._small_bins):
+        for size in self._small_sizes:
             for addr in self._small_bins[size]:
                 yield ChunkView(self.mem, addr)
         for _size, addr in self._large:
@@ -145,12 +150,23 @@ class LeaAllocator:
     # bin management
     # ------------------------------------------------------------------
 
-    def _bin_insert(self, chunk: ChunkView) -> None:
-        size = chunk.size
+    def _bin_insert(self, addr: int, size: int) -> None:
+        """Bin the free chunk at ``addr`` whose header says ``size``."""
         if size <= SMALL_MAX:
-            self._small_bins.setdefault(size, []).append(chunk.addr)
+            lst = self._small_bins.get(size)
+            if lst is None:
+                self._small_bins[size] = [addr]
+                bisect.insort(self._small_sizes, size)
+            else:
+                lst.append(addr)
         else:
-            bisect.insort(self._large, (size, chunk.addr))
+            bisect.insort(self._large, (size, addr))
+
+    def _drop_bin(self, size: int) -> None:
+        """Forget the small bin ``size`` once its last chunk is gone."""
+        del self._small_bins[size]
+        sizes = self._small_sizes
+        del sizes[bisect.bisect_left(sizes, size)]
 
     def _bin_remove(self, addr: int, size: int) -> bool:
         """Remove a specific free chunk from the bins; False if absent."""
@@ -159,7 +175,7 @@ class LeaAllocator:
             if lst and addr in lst:
                 lst.remove(addr)
                 if not lst:
-                    del self._small_bins[size]
+                    self._drop_bin(size)
                 return True
             return False
         try:
@@ -168,13 +184,12 @@ class LeaAllocator:
         except ValueError:
             return False
 
-    def _pop_exact(self, size: int) -> Optional[int]:
-        lst = self._small_bins.get(size)
-        if not lst:
-            return None
+    def _pop_exact(self, size: int) -> int:
+        """Take one chunk from the non-empty small bin ``size``."""
+        lst = self._small_bins[size]
         addr = lst.pop()
         if not lst:
-            del self._small_bins[size]
+            self._drop_bin(size)
         return addr
 
     # ------------------------------------------------------------------
@@ -182,19 +197,18 @@ class LeaAllocator:
     # ------------------------------------------------------------------
 
     def _take_from_bins(self, need: int) -> Optional[int]:
-        # Exact small-bin hit.
+        # Smallest non-empty small bin >= need: an exact hit, or a
+        # larger chunk with the remainder split off.
         if need <= SMALL_MAX:
-            addr = self._pop_exact(need)
-            if addr is not None:
-                self._validate_reused(addr, need)
-                return addr
-            # Next larger small bins, splitting the remainder off.
-            for size in range(need + ALIGN, SMALL_MAX + 1, ALIGN):
+            sizes = self._small_sizes
+            i = bisect.bisect_left(sizes, need)
+            if i < len(sizes):
+                size = sizes[i]
                 addr = self._pop_exact(size)
-                if addr is not None:
-                    self._validate_reused(addr, size)
+                self._validate_reused(addr, size)
+                if size != need:
                     self._split(addr, size, need)
-                    return addr
+                return addr
         # Best-fit search of the large list.
         i = bisect.bisect_left(self._large, (need, 0))
         if i < len(self._large):
@@ -211,12 +225,13 @@ class LeaAllocator:
         this is where the process crashes -- the classic delayed
         manifestation of heap corruption.
         """
-        chunk = ChunkView(self.mem, addr)
-        chunk.validate(self.mem.base, self.top)
-        if chunk.in_use or chunk.size != expect_size:
+        size_flags = ChunkView(self.mem, addr).validate(self.mem.base,
+                                                        self.top)
+        size = size_flags & ~FLAG_MASK
+        if size_flags & FLAG_IN_USE or size != expect_size:
             raise HeapCorruptionFault(
                 f"free-list chunk at 0x{addr:x} has corrupted header "
-                f"(size={chunk.size}, expected {expect_size})",
+                f"(size={size}, expected {expect_size})",
                 address=addr)
 
     def _split(self, addr: int, size: int, need: int) -> None:
@@ -226,10 +241,11 @@ class LeaAllocator:
             return  # keep the whole chunk; slack stays internal
         chunk = ChunkView(self.mem, addr)
         chunk.set(need, in_use=False, prev_size=chunk.prev_size)
-        rest = ChunkView(self.mem, addr + need)
-        rest.set(remainder, in_use=False, prev_size=need)
-        self._fix_next_prev_size(rest)
-        self._bin_insert(rest)
+        rest = addr + need
+        ChunkView(self.mem, rest).set(remainder, in_use=False,
+                                      prev_size=need)
+        self._fix_next_prev_size(rest, remainder)
+        self._bin_insert(rest, remainder)
 
     def _take_from_top(self, need: int) -> int:
         new_top = self.top + need
@@ -248,14 +264,18 @@ class LeaAllocator:
     # free path
     # ------------------------------------------------------------------
 
-    def _coalesce_and_store(self, chunk: ChunkView) -> None:
-        addr, size = chunk.addr, chunk.size
-        prev_size = chunk.prev_size
+    def _coalesce_and_store(self, addr: int, size: int) -> None:
+        """Coalesce the just-freed chunk ``[addr, addr+size)`` with its
+        free neighbours and bin the result (or merge it into top)."""
+        mem = self.mem
+        prev_size = ChunkView(mem, addr).prev_size
 
         # Backward coalesce.
-        if prev_size and addr - prev_size >= self.mem.base:
-            prev = ChunkView(self.mem, addr - prev_size)
-            if (not prev.in_use and prev.size == prev_size
+        if prev_size and addr - prev_size >= mem.base:
+            prev = ChunkView(mem, addr - prev_size)
+            prev_flags = prev.size_flags
+            if (not prev_flags & FLAG_IN_USE
+                    and prev_flags & ~FLAG_MASK == prev_size
                     and self._bin_remove(prev.addr, prev_size)):
                 addr = prev.addr
                 size += prev_size
@@ -268,20 +288,22 @@ class LeaAllocator:
             self._top_prev_size = prev_size
             return
         if next_addr < self.top:
-            nxt = ChunkView(self.mem, next_addr)
-            if (not nxt.in_use and nxt.size >= MIN_CHUNK
-                    and self._bin_remove(next_addr, nxt.size)):
-                size += nxt.size
+            next_flags = ChunkView(mem, next_addr).size_flags
+            next_size = next_flags & ~FLAG_MASK
+            if (not next_flags & FLAG_IN_USE and next_size >= MIN_CHUNK
+                    and self._bin_remove(next_addr, next_size)):
+                size += next_size
 
-        merged = ChunkView(self.mem, addr)
-        merged.set(size, in_use=False, prev_size=prev_size)
-        self._fix_next_prev_size(merged)
-        self._bin_insert(merged)
+        ChunkView(mem, addr).set(size, in_use=False, prev_size=prev_size)
+        self._fix_next_prev_size(addr, size)
+        self._bin_insert(addr, size)
 
-    def _fix_next_prev_size(self, chunk: ChunkView) -> None:
-        next_addr = chunk.next_addr
+    def _fix_next_prev_size(self, addr: int, size: int) -> None:
+        """Record ``size`` as the prev_size of the chunk after the
+        chunk at ``addr``."""
+        next_addr = addr + size
         if next_addr < self.top:
-            ChunkView(self.mem, next_addr).prev_size = chunk.size
+            ChunkView(self.mem, next_addr).prev_size = size
 
     # ------------------------------------------------------------------
     # snapshot / restore
@@ -301,7 +323,8 @@ class LeaAllocator:
 
     def restore(self, snap: tuple) -> None:
         (bins, large, top, tps, nm, nf, live, peak) = snap
-        self._small_bins = {k: list(v) for k, v in bins.items()}
+        self._small_bins = {k: list(v) for k, v in bins.items() if v}
+        self._small_sizes = sorted(self._small_bins)
         self._large = list(large)
         self.top = top
         self._top_prev_size = tps

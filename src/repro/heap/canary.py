@@ -43,6 +43,14 @@ class CanaryStats:
 CANARY_WORD = int.from_bytes(bytes([CANARY_BYTE]) * 8, "little")
 
 
+def _all_canary(mem: Memory, addr: int, size: int) -> bool:
+    """True iff ``[addr, addr+size)`` holds only the canary byte: one
+    C-level count over the segment buffer, no copy.  Faults exactly like
+    :meth:`Memory.read_bytes` outside the segment."""
+    off = mem._check(addr, size)
+    return mem._buf.count(CANARY_BYTE, off, off + size) == size
+
+
 def canary_fill(mem: Memory, addr: int, size: int,
                 stats: Optional[CanaryStats] = None) -> None:
     """Fill ``[addr, addr+size)`` with the canary pattern."""
@@ -61,7 +69,7 @@ def canary_intact(mem: Memory, addr: int, size: int,
     if stats is not None:
         stats.checks += 1
         stats.bytes_checked += size
-    intact = mem.read_bytes(addr, size) == bytes([CANARY_BYTE]) * size
+    intact = _all_canary(mem, addr, size)
     if not intact and stats is not None:
         stats.corruptions += 1
     return intact
@@ -79,8 +87,9 @@ def corrupted_offsets(mem: Memory, addr: int, size: int,
     if stats is not None:
         stats.checks += 1
         stats.bytes_checked += size
+    if _all_canary(mem, addr, size):
+        return []
     data = mem.read_bytes(addr, size)
-    offs = [i for i, b in enumerate(data) if b != CANARY_BYTE]
-    if offs and stats is not None:
+    if stats is not None:
         stats.corruptions += 1
-    return offs
+    return [i for i, b in enumerate(data) if b != CANARY_BYTE]

@@ -12,19 +12,33 @@ the next chunk's ``size_flags`` -- and the allocator later trips over it
 exactly the way dlmalloc does.  That in-memory corruption path is what
 several of the paper's bug manifestations depend on, so it cannot be
 replaced by Python-side bookkeeping.
+
+Header words are read and written with one ``struct`` call straight on
+the segment's buffer.  Anything the fast path does not cover (a word
+outside ``[base, brk)`` or not 8-byte aligned) goes through
+:meth:`Memory.read_uint`/:meth:`Memory.write_uint`, so faults and
+dirty-page accounting are exactly the generic ones.
 """
 
 from __future__ import annotations
 
+import struct
+
 from repro.errors import HeapCorruptionFault
-from repro.heap.base import Memory
+from repro.heap.base import PAGE_SIZE, Memory
 
 HEADER_SIZE = 16
 ALIGN = 16
 MIN_CHUNK = 32  # header + minimal 16-byte payload
 
 FLAG_IN_USE = 0x1
-_FLAG_MASK = 0xF
+#: Low bits of ``size_flags`` that hold flags, not size.
+FLAG_MASK = 0xF
+
+_U64 = struct.Struct("<Q")
+_unpack_u64 = _U64.unpack_from
+_pack_u64 = _U64.pack_into
+_U64_MASK = (1 << 64) - 1
 
 
 def round_chunk_size(payload: int) -> int:
@@ -32,6 +46,34 @@ def round_chunk_size(payload: int) -> int:
     need = max(payload, 1) + HEADER_SIZE
     size = (need + ALIGN - 1) // ALIGN * ALIGN
     return max(size, MIN_CHUNK)
+
+
+def _header_word(offset: int, doc: str) -> property:
+    """The u64 header field at ``chunk addr + offset``, read and written
+    with one ``struct`` call on the segment buffer.  The fast path
+    inlines Memory's bounds check; the rest (a word outside the segment,
+    or an unaligned one from a wild pointer) takes the generic path."""
+
+    def get(self) -> int:
+        mem = self.mem
+        buf = mem._buf
+        off = self.addr + offset - mem.base
+        if 0 <= off <= len(buf) - 8:
+            return _unpack_u64(buf, off)[0]
+        return mem.read_uint(self.addr + offset, 8)
+
+    def set(self, value: int) -> None:
+        mem = self.mem
+        buf = mem._buf
+        off = self.addr + offset - mem.base
+        if 0 <= off <= len(buf) - 8 and not off & 7:
+            _pack_u64(buf, off, value & _U64_MASK)
+            # An aligned word never crosses a page boundary.
+            mem._dirty_pages.add(off // PAGE_SIZE)
+        else:
+            mem.write_uint(self.addr + offset, 8, value)
+
+    return property(get, set, doc=doc)
 
 
 class ChunkView:
@@ -50,27 +92,14 @@ class ChunkView:
 
     # -- raw fields ----------------------------------------------------
 
-    @property
-    def size_flags(self) -> int:
-        return self.mem.read_uint(self.addr, 8)
-
-    @size_flags.setter
-    def size_flags(self, value: int) -> None:
-        self.mem.write_uint(self.addr, 8, value)
-
-    @property
-    def prev_size(self) -> int:
-        return self.mem.read_uint(self.addr + 8, 8)
-
-    @prev_size.setter
-    def prev_size(self, value: int) -> None:
-        self.mem.write_uint(self.addr + 8, 8, value)
+    size_flags = _header_word(0, "Chunk size incl. header | flag bits.")
+    prev_size = _header_word(8, "Size of the physically previous chunk.")
 
     # -- derived -------------------------------------------------------
 
     @property
     def size(self) -> int:
-        return self.size_flags & ~_FLAG_MASK
+        return self.size_flags & ~FLAG_MASK
 
     @property
     def in_use(self) -> bool:
@@ -92,18 +121,21 @@ class ChunkView:
         self.size_flags = size | (FLAG_IN_USE if in_use else 0)
         self.prev_size = prev_size
 
-    def mark_free(self) -> None:
-        self.size_flags = self.size_flags & ~FLAG_IN_USE
+    def mark_in_use(self) -> int:
+        """Set the in-use bit; returns the chunk size."""
+        size_flags = self.size_flags | FLAG_IN_USE
+        self.size_flags = size_flags
+        return size_flags & ~FLAG_MASK
 
-    def mark_in_use(self) -> None:
-        self.size_flags = self.size_flags | FLAG_IN_USE
-
-    def validate(self, heap_base: int, heap_top: int) -> None:
-        """Sanity-check the header, faulting on corruption.
+    def validate(self, heap_base: int, heap_top: int) -> int:
+        """Sanity-check the header, faulting on corruption; returns the
+        ``size_flags`` word it checked, so the caller need not read it
+        again.
 
         Called by the allocator before trusting a header it is about to
         operate on (free, coalesce, bin reuse)."""
-        size = self.size
+        size_flags = self.size_flags
+        size = size_flags & ~FLAG_MASK
         if size < MIN_CHUNK or size % ALIGN:
             raise HeapCorruptionFault(
                 f"invalid chunk size {size} at 0x{self.addr:x}",
@@ -112,6 +144,7 @@ class ChunkView:
             raise HeapCorruptionFault(
                 f"chunk at 0x{self.addr:x} size {size} escapes heap",
                 address=self.addr)
+        return size_flags
 
     def __repr__(self) -> str:
         return (f"Chunk(0x{self.addr:x}, size={self.size}, "

@@ -27,9 +27,9 @@ Padding geometry follows the paper: ~1 KB of padding per patched object
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.bugtypes import BugType
 from repro.errors import HeapCorruptionFault, SampledGuardFault
@@ -133,6 +133,16 @@ class ObjectInfo:
     free_patch_id: Optional[int] = None
     canary_filled_on_free: bool = False
     written: Optional[bytearray] = None  # init-tracking (validation only)
+
+    def copy(self) -> "ObjectInfo":
+        """A private copy, ``written`` included.  Copies the instance
+        dict directly: a quarter of the cost of ``copy.copy``, and this
+        runs on the first write to every record a checkpoint shares."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        if self.written is not None:
+            twin.written = bytearray(self.written)
+        return twin
 
     def contains(self, addr: int) -> bool:
         return self.user_addr <= addr < self.user_addr + self.user_size
@@ -310,6 +320,12 @@ class AllocatorExtension:
         self.sampling_paused = False
 
         self._objects: Dict[int, ObjectInfo] = {}
+        #: User addresses whose record in ``_objects`` this extension
+        #: created itself since its last snapshot or restore.  Every
+        #: other record may be shared with a checkpoint (or with another
+        #: extension restored from the same one) and is copied before
+        #: its first write: see :meth:`_own`.
+        self._owned: Set[int] = set()
         self._starts: List[int] = []            # sorted block starts
         self._by_start: Dict[int, int] = {}     # block start -> user addr
         self._alloc_seq = 0
@@ -556,6 +572,20 @@ class AllocatorExtension:
             self._starts.pop(i)
         self._by_start.pop(obj.block_addr, None)
 
+    def _own(self, obj: ObjectInfo) -> ObjectInfo:
+        """The record for ``obj.user_addr`` that this extension may
+        mutate in place: ``obj`` itself if this extension created it
+        since its last snapshot or restore, otherwise a private copy
+        that replaces it in ``_objects``.  Snapshots share records
+        instead of copying them, so every write goes through here."""
+        addr = obj.user_addr
+        if addr in self._owned:
+            return obj
+        obj = obj.copy()
+        self._objects[addr] = obj
+        self._owned.add(addr)
+        return obj
+
     def find_object(self, addr: int) -> Optional[ObjectInfo]:
         """Tracked object whose *block* (padding included) covers addr."""
         i = bisect.bisect_right(self._starts, addr) - 1
@@ -635,6 +665,7 @@ class AllocatorExtension:
         if self.mode is ExtensionMode.VALIDATION and decision.fill == "zero":
             obj.written = bytearray(size)
         self._objects[user_addr] = obj
+        self._owned.add(user_addr)
         self._index_add(obj)
 
         self.metadata_bytes += METADATA_BYTES
@@ -710,6 +741,7 @@ class AllocatorExtension:
                 self._raise_guard(self._make_detection(
                     BugType.BUFFER_OVERFLOW, obj, callsite, None),
                     user_addr)
+        obj = self._own(obj)
         obj.free_site = callsite
         obj.free_patch_id = decision.patch_id
         self._alloc_seq += 1
@@ -809,6 +841,7 @@ class AllocatorExtension:
 
     def _really_free(self, obj: ObjectInfo) -> None:
         self._check_pad_canaries(obj)
+        obj = self._own(obj)
         obj.state = ObjectState.FREED
         self._index_remove(obj)
         self.metadata_bytes -= METADATA_BYTES
@@ -963,8 +996,9 @@ class AllocatorExtension:
             off = addr - obj.user_addr
             end = min(off + size, obj.user_size)
             if is_write:
+                written = self._own(obj).written
                 for i in range(off, end):
-                    obj.written[i] = 1
+                    written[i] = 1
             elif not all(obj.written[off:end]):
                 self._record_illegal(IllegalAccess(
                     kind="uninit-read", instr_id=instr_id, offset=off,
@@ -984,11 +1018,12 @@ class AllocatorExtension:
     # ------------------------------------------------------------------
 
     def snapshot(self) -> tuple:
-        objects = {addr: replace(
-            o, written=bytearray(o.written) if o.written is not None else None)
-            for addr, o in self._objects.items()}
+        # Records are shared with the snapshot, not copied: from here on
+        # this extension owns none of them, so _own copies each one
+        # before its first write.
+        self._owned = set()
         return (
-            objects, list(self._starts), dict(self._by_start),
+            dict(self._objects), list(self._starts), dict(self._by_start),
             self._alloc_seq, self.quarantine.snapshot(),
             list(self._overflow_hits), list(self._dangling_write_hits),
             list(self._double_free_events),
@@ -1005,9 +1040,8 @@ class AllocatorExtension:
          over, dang, dbl, mm, illegal,
          meta, peak_meta, pad, peak_pad, triggers, disabled,
          sampling_snap) = snap
-        self._objects = {addr: replace(
-            o, written=bytearray(o.written) if o.written is not None else None)
-            for addr, o in objects.items()}
+        self._objects = dict(objects)
+        self._owned = set()
         self._starts = list(starts)
         self._by_start = dict(by_start)
         self._alloc_seq = seq

@@ -29,7 +29,7 @@ plane can report its own churn.
 from __future__ import annotations
 
 from collections import OrderedDict
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterator, List, Optional
 
 from repro.util.callsite import CallSite
@@ -170,8 +170,12 @@ class DelayFreeQuarantine:
     def snapshot(self) -> tuple:
         # Deep-copy at capture time: QuarantinedObject is mutable, so
         # aliasing the live entries would let post-snapshot mutations
-        # (e.g. patch_id reassignment) bleed into old checkpoints.
-        return ([replace(o) for o in self._objects.values()],
+        # (e.g. patch_id reassignment) bleed into old checkpoints.  The
+        # plain constructor is the cheapest copy of a dataclass.
+        return ([QuarantinedObject(o.user_addr, o.user_size, o.free_site,
+                                   o.seq, o.canary_filled, o.patch_id,
+                                   o.origin)
+                 for o in self._objects.values()],
                 self._bytes, self._seq,
                 self.accumulated_bytes, self.evictions,
                 dict(self.evictions_by_origin))

@@ -19,11 +19,9 @@ which re-execution requires.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
-from repro.heap.chunk import ALIGN, ChunkView, MIN_CHUNK
+from repro.heap.chunk import ALIGN, MIN_CHUNK
 from repro.util.rng import DeterministicRNG
 
 
@@ -39,14 +37,12 @@ class RandomizedLeaAllocator(LeaAllocator):
         super().__init__(mem)
         self.rng = DeterministicRNG(seed)
 
-    def _pop_exact(self, size: int) -> Optional[int]:
-        lst = self._small_bins.get(size)
-        if not lst:
-            return None
+    def _pop_exact(self, size: int) -> int:
+        lst = self._small_bins[size]
         idx = self.rng.randint(0, len(lst) - 1)
         addr = lst.pop(idx)
         if not lst:
-            del self._small_bins[size]
+            self._drop_bin(size)
         return addr
 
     def _take_from_top(self, need: int) -> int:
@@ -54,7 +50,7 @@ class RandomizedLeaAllocator(LeaAllocator):
             gap = self.rng.randint(MIN_CHUNK // ALIGN,
                                    self.MAX_GAP // ALIGN) * ALIGN
             gap_addr = super()._take_from_top(gap)
-            self._bin_insert(ChunkView(self.mem, gap_addr))
+            self._bin_insert(gap_addr, gap)
         return super()._take_from_top(need)
 
     def snapshot(self) -> tuple:

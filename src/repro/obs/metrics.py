@@ -18,6 +18,7 @@ boundaries).
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from typing import Dict, List, Optional, Sequence, Union
 
 #: Default histogram bucket upper bounds (values land in the first
@@ -80,11 +81,11 @@ class Histogram:
         self.sum += value
         if value > self.max:
             self.max = value
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.counts[i] += 1
-                return
-        self.counts[-1] += 1
+        if value == value:
+            self.counts[bisect_left(self.bounds, value)] += 1
+        else:
+            # NaN compares false with every bound: overflow slot.
+            self.counts[-1] += 1
 
     @property
     def mean(self) -> float:

@@ -1,6 +1,7 @@
 """Property tests for the allocator extension under random operation
 sequences and policies."""
 
+import copy
 from typing import List
 
 from hypothesis import given, settings, strategies as st
@@ -120,3 +121,106 @@ def test_snapshot_restore_identity(script, cut):
     mem.restore(snaps[2])
     second_live = run_ops(ext, script[cut:])
     assert first_live == second_live
+
+
+# ---------------------------------------------------------------------
+# snapshots share object records copy-on-write
+# ---------------------------------------------------------------------
+
+DELAY_SITE = CallSite([("fn_delay", 7), ("main", 2)])
+
+# Ops: ("m", size) malloc; ("f", i, delayed) free the i-th live object
+# (mod count) through a delaying or a plain call-site; ("w"|"r", i, off)
+# a traced write or read of the i-th live object at offset ``off``.
+replay_op = st.one_of(
+    st.tuples(st.just("m"), st.integers(min_value=1, max_value=200)),
+    st.tuples(st.just("f"), st.integers(min_value=0, max_value=15),
+              st.booleans()),
+    st.tuples(st.sampled_from(["w", "r"]),
+              st.integers(min_value=0, max_value=15),
+              st.integers(min_value=0, max_value=199)),
+)
+replay_script = st.lists(replay_op, max_size=40)
+
+
+def validation_extension() -> AllocatorExtension:
+    """A validation-mode extension with zero-fill init tracking on every
+    object, delay-free (with canary fill) at ``DELAY_SITE`` and a
+    quarantine small enough that evictions really free objects."""
+    mem = Memory()
+    policy = DiagnosticPolicy(
+        alloc_default=[AllocChange(fill="zero")],
+        free_overrides={DELAY_SITE: [FreeChange(delay=True,
+                                                canary_fill=True)]})
+    return AllocatorExtension(mem, LeaAllocator(mem),
+                              ExtensionMode.VALIDATION, policy,
+                              quarantine_threshold=256)
+
+
+def run_replay(ext: AllocatorExtension, script) -> list:
+    """Run ``script``; returns every malloc result in order."""
+    results = []
+    for op in script:
+        live = [o.user_addr for o in ext.live_objects()]
+        if op[0] == "m":
+            results.append(ext.malloc(op[1], SITE))
+        elif not live:
+            continue
+        elif op[0] == "f":
+            ext.free(live[op[1] % len(live)],
+                     DELAY_SITE if op[2] else SITE)
+        else:
+            obj = ext.object_at(live[op[1] % len(live)])
+            off = op[2] % obj.user_size
+            if op[0] == "w":
+                ext.mem.fill(obj.user_addr + off, 0x5A, 1)
+            ext.note_access(obj.user_addr + off, 8, op[0] == "w",
+                            ("fn", op[2]))
+    return results
+
+
+def capture(ext: AllocatorExtension) -> tuple:
+    return (ext.snapshot(), ext.allocator.snapshot(), ext.mem.snapshot())
+
+
+def restore_into(snaps: tuple) -> AllocatorExtension:
+    ext = validation_extension()
+    ext.mem.restore(snaps[2])
+    ext.allocator.restore(snaps[1])
+    ext.restore(snaps[0])
+    return ext
+
+
+def observed(ext: AllocatorExtension) -> tuple:
+    """Everything a replay can observe of an extension's state."""
+    return (ext.snapshot(), ext.allocator.snapshot(),
+            ext.mem.snapshot()[0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(replay_script, min_size=1, max_size=3),
+       replay_script, replay_script, replay_script)
+def test_snapshot_restored_twice_replays_like_a_deep_copy(
+        prefixes, script_a, script_b, tail):
+    """One checkpoint restored into two extensions (as serial replay
+    tasks do), each running its own script, must leave the checkpoint
+    exactly as captured: a third restore replays identically to a deep
+    copy taken at capture time."""
+    source = validation_extension()
+    for prefix in prefixes:          # earlier checkpoints, as in a run
+        run_replay(source, prefix)
+        snaps = capture(source)
+    pristine = copy.deepcopy(snaps)
+
+    task_a = restore_into(snaps)
+    task_b = restore_into(snaps)
+    run_replay(task_a, script_a)
+    run_replay(task_b, script_b)
+    run_replay(source, script_b)     # the live process moves on too
+    run_replay(task_a, script_b)
+
+    third = restore_into(snaps)
+    reference = restore_into(pristine)
+    assert observed(third) == observed(reference)
+    assert run_replay(third, tail) == run_replay(reference, tail)
+    assert observed(third) == observed(reference)

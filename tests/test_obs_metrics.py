@@ -1,8 +1,11 @@
 """Metrics registry: instruments, disabled mode, snapshot determinism."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs.metrics import (
+    DEFAULT_BUCKETS,
     NULL_INSTRUMENT,
     NULL_REGISTRY,
     Counter,
@@ -39,6 +42,52 @@ def test_histogram_buckets_and_mean():
     assert h.counts == [2, 2, 1]     # <=10, <=100, overflow
     assert h.total == 5
     assert h.mean == pytest.approx(5126 / 5)
+
+
+def _linear_scan_observe(h, value):
+    """Reference: the first bucket whose bound is >= value, by a linear
+    scan, else the overflow slot."""
+    h.total += 1
+    h.sum += value
+    if value > h.max:
+        h.max = value
+    for i, bound in enumerate(h.bounds):
+        if value <= bound:
+            h.counts[i] += 1
+            return
+    h.counts[-1] += 1
+
+
+_values = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([float("nan"), float("inf"), float("-inf"), 0, -0.0]),
+)
+_bounds = st.one_of(
+    st.just(DEFAULT_BUCKETS),
+    st.lists(st.one_of(st.integers(-1000, 1000),
+                       st.floats(allow_nan=False, allow_infinity=True)),
+             min_size=1, max_size=8).map(lambda b: tuple(sorted(b))),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounds=_bounds, values=st.lists(_values, max_size=40))
+def test_histogram_observe_matches_linear_scan(bounds, values):
+    fast = Histogram("h", bounds=bounds)
+    slow = Histogram("h", bounds=bounds)
+    for value in values:
+        fast.observe(value)
+        _linear_scan_observe(slow, value)
+    # repr() so a NaN sum or max compares equal to itself.
+    assert (repr((fast.counts, fast.total, fast.sum, fast.max))
+            == repr((slow.counts, slow.total, slow.sum, slow.max)))
+
+
+def test_histogram_nan_lands_in_overflow_slot():
+    h = Histogram("h", bounds=(10, 100))
+    h.observe(float("nan"))
+    assert h.counts == [0, 0, 1]
 
 
 def test_histogram_rejects_unsorted_bounds():
