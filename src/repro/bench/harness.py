@@ -262,7 +262,7 @@ def run_app_session(app_name: str, triggers: int = 2,
                     workers: int = 1,
                     telemetry: bool = False,
                     supervisor: bool = True,
-                    vm_tier: str = "reference",
+                    vm_tier: str = "compiled",
                     search_policy: str = "fixed",
                     rollout: Optional[RolloutConfig] = None,
                     store_path: Optional[str] = None,

@@ -137,9 +137,10 @@ class FirstAidConfig:
     #: identical -- snapshots, sim time, fault sites, telemetry -- and
     #: exists purely for wall-clock speed; every re-execution the
     #: runtime performs (diagnosis probes, validation runs, forked
-    #: worker tasks) inherits the tier.  Tests default to the reference
-    #: interpreter; benches opt into "compiled".
-    vm_tier: str = "reference"
+    #: worker tasks) inherits the tier.  "compiled" is the production
+    #: default; the reference interpreter stays as the oracle that
+    #: tier-comparing tests and benches request explicitly.
+    vm_tier: str = "compiled"
     #: Diagnosis search policy (repro.search, DESIGN.md §13).
     #: "fixed" is the legacy schedule; "pruned" adds static bytecode
     #: feasibility masks + call-site arm pruning (fewer probes

@@ -74,17 +74,27 @@ class LeaAllocator:
         Raises :class:`OutOfMemoryFault` when the segment limit is hit.
         Contents of reused chunks are left as-is (stale garbage).
         """
+        return self.malloc_usable(user_size)[0]
+
+    def malloc_usable(self, user_size: int) -> Tuple[int, int]:
+        """:meth:`malloc`, also returning the chunk's usable size (what
+        :meth:`usable_size` would read back from the header)."""
         if user_size < 0:
             raise HeapCorruptionFault(f"malloc of negative size {user_size}")
         need = round_chunk_size(user_size)
         addr = self._take_from_bins(need)
         if addr is None:
-            addr = self._take_from_top(need)
-        size = ChunkView(self.mem, addr).mark_in_use()
+            addr = self._take_from_top(need, FLAG_IN_USE)
+            size = need
+        else:
+            size = ChunkView(self.mem, addr).mark_in_use()
+        usable = size - HEADER_SIZE
         self.n_mallocs += 1
-        self.live_user_bytes += size - HEADER_SIZE
-        self.peak_heap_bytes = max(self.peak_heap_bytes, self.heap_used)
-        return addr + HEADER_SIZE
+        self.live_user_bytes += usable
+        used = self.top - self.mem.base
+        if used > self.peak_heap_bytes:
+            self.peak_heap_bytes = used
+        return addr + HEADER_SIZE, usable
 
     def free(self, user_addr: int) -> None:
         """Return a chunk to the free structures.
@@ -247,15 +257,16 @@ class LeaAllocator:
         self._fix_next_prev_size(rest, remainder)
         self._bin_insert(rest, remainder)
 
-    def _take_from_top(self, need: int) -> int:
+    def _take_from_top(self, need: int, flags: int = 0) -> int:
+        """Carve a ``need``-byte chunk off the wilderness; its header
+        (``need | flags``, previous size) is written in one go."""
         new_top = self.top + need
         while new_top > self.mem.brk:
             if self.mem.sbrk(new_top - self.mem.brk) < 0:
                 raise OutOfMemoryFault(
                     f"heap limit reached allocating {need} bytes")
         addr = self.top
-        chunk = ChunkView(self.mem, addr)
-        chunk.set(need, in_use=False, prev_size=self._top_prev_size)
+        ChunkView(self.mem, addr).write(need | flags, self._top_prev_size)
         self.top = new_top
         self._top_prev_size = need
         return addr

@@ -38,6 +38,7 @@ FLAG_MASK = 0xF
 _U64 = struct.Struct("<Q")
 _unpack_u64 = _U64.unpack_from
 _pack_u64 = _U64.pack_into
+_pack_header = struct.Struct("<QQ").pack_into
 _U64_MASK = (1 << 64) - 1
 
 
@@ -118,8 +119,23 @@ class ChunkView:
         return self.addr + self.size
 
     def set(self, size: int, in_use: bool, prev_size: int) -> None:
-        self.size_flags = size | (FLAG_IN_USE if in_use else 0)
-        self.prev_size = prev_size
+        self.write(size | (FLAG_IN_USE if in_use else 0), prev_size)
+
+    def write(self, size_flags: int, prev_size: int) -> None:
+        """Both header words with one ``struct`` call: the same bytes
+        and dirty page as setting ``size_flags`` then ``prev_size``.
+        A 16-aligned header inside the segment never crosses a page;
+        anything else takes the per-word path."""
+        mem = self.mem
+        buf = mem._buf
+        off = self.addr - mem.base
+        if 0 <= off <= len(buf) - HEADER_SIZE and not off & 15:
+            _pack_header(buf, off, size_flags & _U64_MASK,
+                         prev_size & _U64_MASK)
+            mem._dirty_pages.add(off // PAGE_SIZE)
+        else:
+            self.size_flags = size_flags
+            self.prev_size = prev_size
 
     def mark_in_use(self) -> int:
         """Set the in-use bit; returns the chunk size."""

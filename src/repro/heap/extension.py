@@ -53,6 +53,19 @@ METADATA_BYTES = 16
 PAD_PRE = 504
 PAD_POST = 512
 
+#: Bounds no simulated address reaches.  The watched-interval index
+#: starts with a ``[_FLOOR, _FLOOR)`` sentinel so that
+#: ``bisect_right(starts, addr) - 1`` is never negative and
+#: ``addr < ends[i]`` is the whole membership test.
+_FLOOR = -(1 << 128)
+_CEILING = 1 << 128
+
+#: The index handed out when the extension charges trace time to a
+#: clock other than the machine's: one interval covering every address,
+#: so every traced access calls ``note_access`` and is charged exactly
+#: as the reference interpreter charges it.
+_WATCH_ALL = ((_FLOOR,), (_CEILING,))
+
 
 class ExtensionMode(Enum):
     OFF = "off"
@@ -328,6 +341,13 @@ class AllocatorExtension:
         self._owned: Set[int] = set()
         self._starts: List[int] = []            # sorted block starts
         self._by_start: Dict[int, int] = {}     # block start -> user addr
+        #: Watched-interval index (see :meth:`watch_index`): sorted,
+        #: disjoint ``[start, end)`` intervals where a traced access can
+        #: do more than charge ``trace_ns``.  Parallel start/end lists,
+        #: sentinel first; None until the first traced run after a
+        #: restore, then kept current in place.  Not part of snapshots.
+        self._wst: Optional[List[int]] = None
+        self._wend: Optional[List[int]] = None
         self._alloc_seq = 0
 
         # Memory-pressure failsafe (paper Section 2): when the extra
@@ -550,18 +570,6 @@ class AllocatorExtension:
         if self.clock is not None and ns:
             self.clock.charge(ns)
 
-    def _op_cost(self) -> int:
-        if self.mode is ExtensionMode.OFF:
-            return 0
-        cost = self.costs.extension_ns
-        if self.mode is ExtensionMode.NORMAL:
-            cost += self.costs.patch_lookup_ns
-        elif self.mode is ExtensionMode.DIAGNOSTIC:
-            cost += self.costs.extension_ns  # multi-level capture etc.
-        elif self.mode is ExtensionMode.VALIDATION:
-            cost += 2 * self.costs.extension_ns
-        return cost
-
     def _index_add(self, obj: ObjectInfo) -> None:
         bisect.insort(self._starts, obj.block_addr)
         self._by_start[obj.block_addr] = obj.user_addr
@@ -609,15 +617,27 @@ class AllocatorExtension:
     # ------------------------------------------------------------------
 
     def malloc(self, size: int, callsite: Optional[CallSite]) -> int:
-        if self.mode is ExtensionMode.OFF:
+        mode = self.mode
+        if mode is ExtensionMode.OFF:
             return self.allocator.malloc(size)
 
-        self._charge(self._op_cost())
+        clock = self.clock
+        costs = self.costs
+        # The op cost is charged before the policy and the allocator
+        # run: either may observe the clock or raise.
+        if clock is not None:
+            if mode is ExtensionMode.NORMAL:
+                clock.charge(costs.extension_ns + costs.patch_lookup_ns)
+            elif mode is ExtensionMode.DIAGNOSTIC:
+                clock.charge(2 * costs.extension_ns)
+            else:
+                clock.charge(3 * costs.extension_ns)
         decision = self.policy.on_alloc(callsite)
         if self.patching_disabled and decision.patch_id is not None:
             decision = AllocDecision.plain()
         sampled = False
-        if self._sampling_active():
+        if (self.sampler is not None and mode is ExtensionMode.NORMAL
+                and not self.patching_disabled):
             self.sampling_stats.allocs += 1
             if (decision.patch_id is None
                     and self.sampler.picks(self._alloc_seq + 1)):
@@ -633,56 +653,75 @@ class AllocatorExtension:
                                          fill=decision.fill)
                 self.sampling_stats.sampled_allocs += 1
                 self._sync_sampling_metrics()
-        block_size = decision.pad_pre + size + decision.pad_post
-        block_addr = self.allocator.malloc(block_size)
-        user_addr = block_addr + decision.pad_pre
+        pad_pre = decision.pad_pre
+        pad_post = decision.pad_post
+        fill = decision.fill
+        block_addr, block_size = self.allocator.malloc_usable(
+            pad_pre + size + pad_post)
+        user_addr = block_addr + pad_pre
 
+        # Fills neither raise nor read the clock: their cost is
+        # charged once, as the sum of the per-fill charges.
+        fill_ns = 0
         if decision.canary_pad:
-            canary_fill(self.mem, block_addr, decision.pad_pre,
+            canary_fill(self.mem, block_addr, pad_pre, self.canary_stats)
+            canary_fill(self.mem, user_addr + size, pad_post,
                         self.canary_stats)
-            canary_fill(self.mem, user_addr + size, decision.pad_post,
-                        self.canary_stats)
-            self._charge(self.costs.fill_cost(
-                decision.pad_pre + decision.pad_post))
-        if decision.fill == "zero":
+            fill_ns = costs.fill_cost(pad_pre + pad_post)
+        if fill == "zero":
             if size:
                 self.mem.fill(user_addr, 0, size)
-            self._charge(self.costs.fill_cost(size))
-        elif decision.fill == "canary":
+            fill_ns += costs.fill_cost(size)
+        elif fill == "canary":
             canary_fill(self.mem, user_addr, size, self.canary_stats)
-            self._charge(self.costs.fill_cost(size))
+            fill_ns += costs.fill_cost(size)
+        if fill_ns and clock is not None:
+            clock.charge(fill_ns)
 
         self._alloc_seq += 1
         obj = ObjectInfo(
             user_addr=user_addr, user_size=size,
-            block_addr=block_addr,
-            block_size=self.allocator.usable_size(block_addr),
-            pad_pre=decision.pad_pre, pad_post=decision.pad_post,
-            canary_pad=decision.canary_pad, fill=decision.fill,
+            block_addr=block_addr, block_size=block_size,
+            pad_pre=pad_pre, pad_post=pad_post,
+            canary_pad=decision.canary_pad, fill=fill,
             alloc_site=callsite, alloc_seq=self._alloc_seq,
             patch_id=decision.patch_id, sampled=sampled,
         )
-        if self.mode is ExtensionMode.VALIDATION and decision.fill == "zero":
+        if mode is ExtensionMode.VALIDATION and fill == "zero":
             obj.written = bytearray(size)
+        rebuild = False
+        if self._wst is not None:
+            # A tracked record this one displaces (possible only when a
+            # corrupted heap hands out overlapping chunks) changes the
+            # answer of every bucket that maps to it: rebuild.
+            prev = self._objects.get(user_addr)
+            rebuild = (prev is not None
+                       and prev.state is not ObjectState.FREED)
         self._objects[user_addr] = obj
         self._owned.add(user_addr)
         self._index_add(obj)
+        if rebuild:
+            self._build_watch()
+        elif self._wst is not None and (
+                pad_pre or pad_post or obj.written is not None
+                or self._reached_from_left(block_addr)):
+            self._rewatch(block_addr)
 
         self.metadata_bytes += METADATA_BYTES
-        self.peak_metadata_bytes = max(self.peak_metadata_bytes,
-                                       self.metadata_bytes)
-        pad = decision.pad_pre + decision.pad_post
+        if self.metadata_bytes > self.peak_metadata_bytes:
+            self.peak_metadata_bytes = self.metadata_bytes
+        pad = pad_pre + pad_post
         if pad:
             self.padding_bytes += pad
-            self.peak_padding_bytes = max(self.peak_padding_bytes,
-                                          self.padding_bytes)
+            if self.padding_bytes > self.peak_padding_bytes:
+                self.peak_padding_bytes = self.padding_bytes
         if decision.patch_id is not None:
             self.patch_trigger_count += 1
         if self.trace_mm:
             self.mm_trace.append(MMTraceEntry(
                 seq=self._alloc_seq, op="malloc", user_addr=user_addr,
                 size=size, callsite=callsite, patch_id=decision.patch_id,
-                fill=decision.fill))
+                fill=fill))
         tm = self._tm
         if tm is not None:
             tm.mallocs.inc()
@@ -694,7 +733,7 @@ class AllocatorExtension:
                 tm.patch_triggers.inc()
         if self._flight is not None:
             self._flight.record_mm(
-                self.clock.now_ns if self.clock else 0, "malloc",
+                clock.now_ns if clock else 0, "malloc",
                 user_addr, size,
                 callsite.innermost[0] if callsite else None,
                 decision.patch_id)
@@ -707,11 +746,20 @@ class AllocatorExtension:
     # ------------------------------------------------------------------
 
     def free(self, user_addr: int, callsite: Optional[CallSite]) -> None:
-        if self.mode is ExtensionMode.OFF:
+        mode = self.mode
+        if mode is ExtensionMode.OFF:
             self.allocator.free(user_addr)
             return
 
-        self._charge(self._op_cost())
+        clock = self.clock
+        if clock is not None:
+            costs = self.costs
+            if mode is ExtensionMode.NORMAL:
+                clock.charge(costs.extension_ns + costs.patch_lookup_ns)
+            elif mode is ExtensionMode.DIAGNOSTIC:
+                clock.charge(2 * costs.extension_ns)
+            else:
+                clock.charge(3 * costs.extension_ns)
         obj = self._objects.get(user_addr)
 
         if obj is None or obj.state is not ObjectState.LIVE:
@@ -721,7 +769,9 @@ class AllocatorExtension:
         decision = self.policy.on_free(callsite, user_addr)
         if self.patching_disabled and decision.patch_id is not None:
             decision = FreeDecision.plain()
-        guarded = obj.sampled and self._sampling_active()
+        guarded = (obj.sampled and self.sampler is not None
+                   and mode is ExtensionMode.NORMAL
+                   and not self.patching_disabled)
         if guarded:
             # Free-time redzone check: an overflow is caught here,
             # before the corrupted neighbourhood is ever dereferenced
@@ -759,10 +809,13 @@ class AllocatorExtension:
         if decision.delay:
             obj.state = ObjectState.QUARANTINED
             obj.canary_filled_on_free = decision.canary_fill
+            if self._wst is not None:
+                self._rewatch(obj.block_addr)
             if decision.canary_fill:
                 canary_fill(self.mem, user_addr, obj.user_size,
                             self.canary_stats)
-                self._charge(self.costs.fill_cost(obj.user_size))
+                if clock is not None:
+                    clock.charge(self.costs.fill_cost(obj.user_size))
             origin = ORIGIN_SAMPLED if (guarded
                                         and decision.patch_id is None) \
                 else ORIGIN_PATCH
@@ -787,7 +840,7 @@ class AllocatorExtension:
                 tm.patch_triggers.inc()
         if self._flight is not None:
             self._flight.record_mm(
-                self.clock.now_ns if self.clock else 0, "free",
+                clock.now_ns if clock else 0, "free",
                 user_addr, obj.user_size,
                 callsite.innermost[0] if callsite else None,
                 decision.patch_id)
@@ -840,10 +893,16 @@ class AllocatorExtension:
         self.allocator.free(user_addr)
 
     def _really_free(self, obj: ObjectInfo) -> None:
-        self._check_pad_canaries(obj)
+        if obj.canary_pad:
+            self._check_pad_canaries(obj)
+        watched = (obj.state is ObjectState.QUARANTINED or obj.pad_pre
+                   or obj.pad_post or obj.written is not None)
         obj = self._own(obj)
         obj.state = ObjectState.FREED
         self._index_remove(obj)
+        if self._wst is not None and (
+                watched or self._reached_from_left(obj.block_addr)):
+            self._rewatch(obj.block_addr)
         self.metadata_bytes -= METADATA_BYTES
         pad = obj.pad_pre + obj.pad_post
         if pad:
@@ -1005,6 +1064,117 @@ class AllocatorExtension:
                     is_write=False, site=obj.alloc_site,
                     patch_id=obj.patch_id))
 
+    def note_watched(self, pending_ns: int, addr: int, size: int,
+                     is_write: bool, instr_id: Tuple[str, int]) -> int:
+        """The compiled tier's slow path for a traced access that hits
+        the watched index: settle the block's deferred ``trace_ns``
+        first, so the clock ``note_access`` (and the flight recorder)
+        sees is the reference interpreter's, then classify.  Returns
+        the new deferred amount (always 0)."""
+        if pending_ns:
+            self.clock.charge(pending_ns)
+        self.note_access(addr, size, is_write, instr_id)
+        return 0
+
+    def watch_index(self, clock: SimClock) -> tuple:
+        """``(starts, ends, trace_ns, note_watched)`` for the compiled
+        tier's trace guard on a machine charging ``clock``.
+
+        A traced access at ``addr`` can do more than charge
+        ``trace_ns`` only when ``addr < ends[bisect_right(starts, addr)
+        - 1]``: inside a quarantined block, a live object's pre-pad,
+        its post-pad (when it has one), or the block of a live object
+        with a ``written`` map.  Every other access only charges, and
+        the guard may defer that charge -- but only into the clock the
+        extension itself charges.  For any other clock the index
+        watches everything, so every access goes through
+        ``note_access`` and charges exactly as the reference
+        interpreter does.  Built on the first traced run after a
+        restore; the lists are then updated in place, so a run may hold
+        them across malloc and free."""
+        if self.clock is not clock:
+            return _WATCH_ALL + (0, self.note_watched)
+        if self._wst is None:
+            self._wst, self._wend = [], []
+            self._build_watch()
+        return self._wst, self._wend, self.costs.trace_ns, self.note_watched
+
+    def _build_watch(self) -> None:
+        """Rebuild the whole watched index, in place."""
+        self._wst[:] = [_FLOOR]
+        self._wend[:] = [_FLOOR]
+        for k in range(len(self._starts)):
+            self._bucket_watch(k, self._wst, self._wend)
+
+    def _bucket_watch(self, k: int, starts: List[int],
+                      ends: List[int]) -> None:
+        """Append the watched intervals of block-index bucket ``k``:
+        the addresses for which :meth:`find_object` answers with the
+        object recorded at ``self._starts[k]``, filtered as
+        :meth:`note_access` classifies them."""
+        block_starts = self._starts
+        lo = block_starts[k]
+        obj = self._objects.get(self._by_start[lo])
+        if obj is None:
+            return
+        hi = lo + obj.block_size
+        if k + 1 < len(block_starts) and block_starts[k + 1] < hi:
+            hi = block_starts[k + 1]
+        state = obj.state
+        if state is ObjectState.QUARANTINED or (
+                state is ObjectState.LIVE and obj.written is not None):
+            spans = ((lo, hi),)
+        elif state is ObjectState.LIVE:
+            spans = [(obj.block_addr, obj.user_addr)]
+            if obj.pad_post > 0:
+                spans.append((obj.user_addr + obj.user_size,
+                              obj.block_addr + obj.block_size))
+        else:
+            return
+        for s, e in spans:
+            s = s if s > lo else lo
+            e = e if e < hi else hi
+            if s < e:
+                starts.append(s)
+                ends.append(e)
+
+    def _reached_from_left(self, block_addr: int) -> bool:
+        """True when the tracked block before ``block_addr`` extends
+        past it -- overlapping chunks, which only a corrupted heap
+        hands out.  Otherwise adding or removing an unwatched object
+        leaves the watched index as it is."""
+        block_starts = self._starts
+        i = bisect.bisect_left(block_starts, block_addr) - 1
+        if i < 0:
+            return False
+        start = block_starts[i]
+        prev = self._objects.get(self._by_start[start])
+        return prev is not None and start + prev.block_size > block_addr
+
+    def _rewatch(self, block_addr: int) -> None:
+        """Bring the watched index up to date after the block at
+        ``block_addr`` was added to, removed from, or changed state in
+        the block index.  Only that bucket and its predecessor (whose
+        find_object reach ends at the next block start) can change."""
+        block_starts = self._starts
+        k = bisect.bisect_left(block_starts, block_addr)
+        first = k - 1 if k else 0
+        stop = k + 1 if (k < len(block_starts)
+                         and block_starts[k] == block_addr) else k
+        lo = block_addr
+        if block_starts and block_starts[first] < lo:
+            lo = block_starts[first]
+        hi = block_starts[stop] if stop < len(block_starts) else _CEILING
+        wst, wend = self._wst, self._wend
+        i = bisect.bisect_left(wst, lo)
+        j = bisect.bisect_left(wst, hi, i)
+        new_st: List[int] = []
+        new_end: List[int] = []
+        for b in range(first, stop):
+            self._bucket_watch(b, new_st, new_end)
+        wst[i:j] = new_st
+        wend[i:j] = new_end
+
     def _record_illegal(self, access: IllegalAccess) -> None:
         self.illegal_accesses.append(access)
         if self._flight is not None:
@@ -1044,6 +1214,7 @@ class AllocatorExtension:
         self._owned = set()
         self._starts = list(starts)
         self._by_start = dict(by_start)
+        self._wst = self._wend = None
         self._alloc_seq = seq
         self.quarantine.restore(quarantine_snap)
         self._overflow_hits = list(over)

@@ -45,13 +45,13 @@ class RandomizedLeaAllocator(LeaAllocator):
             self._drop_bin(size)
         return addr
 
-    def _take_from_top(self, need: int) -> int:
+    def _take_from_top(self, need: int, flags: int = 0) -> int:
         if self.rng.random() < self.GAP_PROB:
             gap = self.rng.randint(MIN_CHUNK // ALIGN,
                                    self.MAX_GAP // ALIGN) * ALIGN
-            gap_addr = super()._take_from_top(gap)
+            gap_addr = super()._take_from_top(gap)  # stays free
             self._bin_insert(gap_addr, gap)
-        return super()._take_from_top(need)
+        return super()._take_from_top(need, flags)
 
     def snapshot(self) -> tuple:
         return (super().snapshot(), self.rng.getstate())

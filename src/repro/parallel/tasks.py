@@ -121,7 +121,7 @@ class ReexecTask:
     #: VM execution tier for the re-execution; travels with the task so
     #: a forked worker runs the same tier (and hits the same
     #: process-wide compiled-program cache) as the live process.
-    vm_tier: str = "reference"
+    vm_tier: str = "compiled"
 
 
 def build_task(process: Process, kind: str, label: str, state: tuple,

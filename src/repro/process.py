@@ -21,7 +21,7 @@ from repro.heap.quarantine import DEFAULT_THRESHOLD
 from repro.heap.random_alloc import RandomizedLeaAllocator
 from repro.util.rng import DeterministicRNG
 from repro.util.simclock import CostModel, SimClock
-from repro.vm.compile import TIER_REFERENCE
+from repro.vm.compile import TIER_COMPILED
 from repro.vm.io import OutputLog, ReplayableInput
 from repro.vm.machine import Machine, RunResult
 from repro.vm.program import Program
@@ -63,7 +63,7 @@ class Process:
                  quarantine_threshold: int = DEFAULT_THRESHOLD,
                  entropy_seed: int = 1,
                  output: Optional[OutputLog] = None,
-                 vm_tier: str = TIER_REFERENCE,
+                 vm_tier: str = TIER_COMPILED,
                  sampling_rate: int = 0):
         self.program = program
         self.costs = costs or CostModel()

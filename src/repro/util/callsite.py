@@ -105,6 +105,11 @@ class CallSite:
 #: the number of distinct call-sites across all loaded programs.
 _INTERNED: Dict[Tuple[Addr, ...], CallSite] = {}
 
+#: ``interned(key)``: the canonical instance for an already-truncated
+#: frame tuple, or None if it was never interned.  The VM's per-malloc
+#: capture tries this before falling back to :meth:`CallSite.intern`.
+interned = _INTERNED.get
+
 
 def interned_count() -> int:
     """Testing/benchmark hook: current intern-table size."""

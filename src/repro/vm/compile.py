@@ -50,9 +50,20 @@ Superinstruction fusion, applied during emission:
   never return to the dispatch loop at all (the per-iteration budget
   check keeps ``stop_at`` exact);
 * **inline memory access** -- LOAD/STORE emit the simulated heap's
-  bounds check, byte conversion, and dirty-page marking inline,
-  delegating to :class:`~repro.heap.base.Memory` only on the faulting
-  path (which re-raises the byte-identical ``SegmentationFault``).
+  bounds check (against a block-local segment length, refreshed after
+  MALLOC, the only in-block op that can grow the segment), byte
+  conversion, and dirty-page marking inline, delegating to
+  :class:`~repro.heap.base.Memory` only on the faulting path (which
+  re-raises the byte-identical ``SegmentationFault``);
+* **trace guard** -- under ``trace_accesses`` each access does one
+  ``bisect_right`` and one compare against the extension's
+  watched-interval index (:meth:`AllocatorExtension.watch_index`) and
+  calls ``note_access`` only on a hit.  A miss, which ``note_access``
+  would only charge ``trace_ns`` for, adds it to a block-local ``_tn``
+  that is charged with the MALLOC/FREE/OUT flushes, before a hit's
+  call, and on every exit -- never mixed with the block's pending
+  instruction time -- so every clock observation reads what the
+  reference interpreter's would.
 
 Compiled programs are cached process-wide keyed by *code identity*
 (:meth:`Program.code_key`), so the thousands of re-executions a single
@@ -63,6 +74,7 @@ each block exactly once.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import OrderedDict
 from typing import Dict, List, Optional, Tuple
 
@@ -98,6 +110,10 @@ _MASK = "0xFFFFFFFFFFFFFFFF"
 #: Ops that end a block's straight-line emission (JMP is *followed*,
 #: not listed: jump threading).
 _BRANCHING = (isa.JZ, isa.JNZ, isa.CALL, isa.RET, isa.HALT)
+
+#: Ops that touch the heap: under ``trace_accesses`` each access runs
+#: the watched-interval guard.
+_ACCESSES = frozenset((isa.LOAD, isa.STORE, isa.MEMSET, isa.MEMCPY))
 
 _CMP_EXPR = {
     isa.LT: "<", isa.LE: "<=", isa.GT: ">", isa.GE: ">=",
@@ -226,6 +242,9 @@ class _Emitter:
         self.needs: set = set()
         self.dirty: set = set()     # slots with a deferred loc store
         self.stats = cf.stats
+        #: The block touches the heap, so it keeps a deferred
+        #: trace-time accumulator ``_tn`` (see :meth:`trace_guard`).
+        self.traced = False
 
     # -- operand helpers ------------------------------------------------
 
@@ -293,6 +312,30 @@ class _Emitter:
             self.emit(indent + "vm._reads += nr")
             self.emit(indent + "vm._writes += nw")
 
+    # -- access tracing ------------------------------------------------
+
+    def trace_guard(self, addr: str, size: str, is_write: bool,
+                    iid: str, indent: str = "") -> None:
+        """The ``trace_accesses`` check for one access: one bisect and
+        one compare against the extension's watched intervals.  A hit
+        settles the deferred trace time and calls ``note_access``
+        (through ``ext.note_watched``); a miss, which the reference
+        interpreter would only charge ``trace_ns`` for, adds it to
+        ``_tn``, which is charged before anything reads the clock."""
+        self.emit(f"{indent}if trace: _tn = _nw(_tn, {addr}, {size}, "
+                  f"{is_write}, {iid}) if {addr} < "
+                  f"wend[_br(wst, {addr}) - 1] else _tn + tns")
+
+    def trace_pending(self) -> str:
+        """The deferred trace time, as a term for a clock flush."""
+        return " + _tn" if self.traced else ""
+
+    def settle_trace(self, indent: str = "") -> None:
+        """Charge the deferred trace time on a path that leaves the
+        block (the machine charges ``_pending`` only at run exits)."""
+        if self.traced:
+            self.emit(f"{indent}if _tn: clock.charge(_tn)")
+
     # -- bookkeeping -----------------------------------------------------
 
     def breadcrumb(self, pc: int, index: int) -> None:
@@ -330,6 +373,7 @@ class _Emitter:
         every path that leaves the closure."""
         self.emit(indent + "vm.instr_count = _ic")
         self.emit(indent + "vm._pending = _pd")
+        self.settle_trace(indent)
 
 
 class CompiledFunction:
@@ -399,6 +443,9 @@ class CompiledFunction:
         em = _Emitter(self, entry_pc)
         em.stats.blocks += 1
         em.stats.instructions += n
+        if any(code[bpc][0] in _ACCESSES for bpc in pcs):
+            em.traced = True
+            em.needs.update(("mem", "trace", "clock"))
 
         # A terminator that branches back to this block's entry turns
         # the closure into a Python loop: iterations never return to
@@ -529,8 +576,10 @@ class CompiledFunction:
             em.needs.update(("fault", "ext", "clock", "costs"))
             em.breadcrumb(pc, index)
             em.emit(f"clock.charge({em.flush_expr(index)}"
-                    " + costs.alloc_ns)")
+                    f"{em.trace_pending()} + costs.alloc_ns)")
             em.emit("_pd = 0")
+            if em.traced:
+                em.emit("_tn = 0")
             em.mark_flushed(index)
             em.unflushed[pc] = 0
             size = em.read(instr[2])
@@ -538,13 +587,18 @@ class CompiledFunction:
             em.emit(f"loc[{instr[1]}] = ext.malloc({size},"
                     " None if ext.mode is _OFF"
                     f" else vm.current_callsite({pc}))")
+            if em.traced:
+                # The only in-block op that can grow the segment.
+                em.emit("mlen = len(mbuf)")
             return
         if op == isa.FREE:
             em.needs.update(("fault", "ext", "clock", "costs"))
             em.breadcrumb(pc, index)
             em.emit(f"clock.charge({em.flush_expr(index)}"
-                    " + costs.alloc_ns)")
+                    f"{em.trace_pending()} + costs.alloc_ns)")
             em.emit("_pd = 0")
+            if em.traced:
+                em.emit("_tn = 0")
             em.mark_flushed(index)
             em.unflushed[pc] = 0
             em.emit(f"ext.free({em.read(instr[1])},"
@@ -561,9 +615,7 @@ class CompiledFunction:
             a = em.fresh_temp()
             em.emit(f"    {a} = {em.read(instr[1])}")
             em.globals[f"_iid{pc}"] = (self.name, pc)
-            em.emit("    if trace:")
-            em.emit(f"        ext.note_access({a}, {ln}, True, "
-                    f"_iid{pc})")
+            em.trace_guard(a, ln, True, f"_iid{pc}", "    ")
             em.emit(f"    mem.fill({a}, {em.read(instr[2])} & 255, "
                     f"{ln})")
             em.emit(f"    clock.charge(costs.fill_cost({ln}))")
@@ -581,11 +633,8 @@ class CompiledFunction:
             em.emit(f"    {d} = {em.read(instr[1])}")
             em.emit(f"    {s} = {em.read(instr[2])}")
             em.globals[f"_iid{pc}"] = (self.name, pc)
-            em.emit("    if trace:")
-            em.emit(f"        ext.note_access({s}, {ln}, False, "
-                    f"_iid{pc})")
-            em.emit(f"        ext.note_access({d}, {ln}, True, "
-                    f"_iid{pc})")
+            em.trace_guard(s, ln, False, f"_iid{pc}", "    ")
+            em.trace_guard(d, ln, True, f"_iid{pc}", "    ")
             em.emit(f"    mem.copy_within({d}, {s}, {ln})")
             em.emit(f"    clock.charge(costs.fill_cost({ln}))")
             em.emit("    nr += 1")
@@ -605,6 +654,7 @@ class CompiledFunction:
             mult = (index - 1) - em.last_flush
             pd = f"_pd + {mult} * instr_ns" if mult > 0 else "_pd"
             em.emit(f"    vm._pending = {pd}")
+            em.settle_trace("    ")
             em.emit_counters("    ")
             em.emit("    return 3")
             em.write(instr[1], f"{t} & " + _MASK, False)
@@ -612,10 +662,12 @@ class CompiledFunction:
         if op == isa.OUT:
             em.needs.update(("clock", "output"))
             p = em.fresh_temp()
-            em.emit(f"{p} = {em.flush_expr(index)}")
+            em.emit(f"{p} = {em.flush_expr(index)}{em.trace_pending()}")
             em.emit(f"if {p}:")
             em.emit(f"    clock.charge({p})")
             em.emit("_pd = 0")
+            if em.traced:
+                em.emit("_tn = 0")
             em.mark_flushed(index)
             em.emit(f"out.emit(clock.now_ns, {em.read(instr[1])})")
             return
@@ -670,14 +722,13 @@ class CompiledFunction:
         size = instr[4]
         a = self._addr_expr(em, instr[2], instr[3])
         em.globals[f"_iid{pc}"] = (self.name, pc)
-        em.emit("if trace:")
-        em.emit(f"    ext.note_access({a}, {size!r}, False, _iid{pc})")
+        em.trace_guard(a, repr(size), False, f"_iid{pc}")
         # Memory.read_uint inlined: bounds check + little-endian
         # decode; the failing branch calls the real method, which
         # raises the byte-identical SegmentationFault.
         o = em.fresh_temp()
         em.emit(f"{o} = {a} - mbase")
-        em.emit(f"if {o} < 0 or {o} + {size} > len(mbuf):")
+        em.emit(f"if {o} < 0 or {o} + {size} > mlen:")
         em.emit(f"    mread({a}, {size!r})")
         em.write(instr[1], f"_fb(mbuf[{o}:{o} + {size}], 'little')",
                  _used_soon(self.code, pc, instr[1]))
@@ -691,13 +742,12 @@ class CompiledFunction:
         val_slot = instr[4]
         a = self._addr_expr(em, instr[1], instr[2])
         em.globals[f"_iid{pc}"] = (self.name, pc)
-        em.emit("if trace:")
-        em.emit(f"    ext.note_access({a}, {size!r}, True, _iid{pc})")
+        em.trace_guard(a, repr(size), True, f"_iid{pc}")
         o = em.fresh_temp()
         em.emit(f"{o} = {a} - mbase")
         lit = em.read_value(val_slot)
         fallback_val = repr(lit) if lit is not None else em.read(val_slot)
-        em.emit(f"if {o} < 0 or {o} + {size} > len(mbuf):")
+        em.emit(f"if {o} < 0 or {o} + {size} > mlen:")
         em.emit(f"    mwrite({a}, {size!r}, {fallback_val})")
         if lit is not None:
             data = (lit & ((1 << (8 * size)) - 1)).to_bytes(size,
@@ -869,11 +919,14 @@ class CompiledFunction:
             pre.append("    mbase = mem.base")
             pre.append("    mbuf = mem._buf")
             pre.append("    mdirty = mem._dirty_pages")
+            pre.append("    mlen = len(mbuf)")
             pre.append("    mread = mem.read_uint")
             pre.append("    mwrite = mem.write_uint")
         if "trace" in needs:
             pre.append("    trace = vm.trace_accesses")
-        if "trace" in needs or "ext" in needs:
+            pre.append("    _tn = 0")
+            pre.append("    if trace: wst, wend, tns, _nw = vm._watch")
+        if "ext" in needs:
             pre.append("    ext = vm.extension")
         if "clock" in needs:
             pre.append("    clock = vm.clock")
@@ -903,6 +956,8 @@ class CompiledFunction:
                    f"_ic + {n_instrs} > limit:")
         src.append(f"{indent}    vm.instr_count = _ic")
         src.append(f"{indent}    vm._pending = _pd")
+        if em.traced:
+            src.append(f"{indent}    if _tn: clock.charge(_tn)")
         if "counters" in needs:
             src.append(f"{indent}    vm._reads += nr")
             src.append(f"{indent}    vm._writes += nw")
@@ -919,6 +974,8 @@ class CompiledFunction:
             src.append(f"{h}frame.pc = ip + 1")
             src.append(f"{h}vm.instr_count = _ic + _done[ip]")
             src.append(f"{h}vm._pending = _pd + _unf[ip] * instr_ns")
+            if em.traced:
+                src.append(f"{h}if _tn: clock.charge(_tn)")
             if "counters" in needs:
                 src.append(f"{h}vm._reads += nr")
                 src.append(f"{h}vm._writes += nw")
@@ -934,6 +991,7 @@ class CompiledFunction:
             "_Frame": Frame,
             "_OFF": ExtensionMode.OFF,
             "_fb": int.from_bytes,
+            "_br": bisect_right,
             "_done": em.done,
             "_unf": em.unflushed,
         }

@@ -32,7 +32,7 @@ from repro.errors import (
 )
 from repro.heap.base import Memory
 from repro.heap.extension import AllocatorExtension, ExtensionMode
-from repro.util.callsite import CallSite
+from repro.util.callsite import CallSite, interned
 from repro.util.rng import DeterministicRNG
 from repro.util.simclock import CostModel, SimClock
 from repro.vm import isa
@@ -124,6 +124,9 @@ class Machine:
         self._reads = 0
         self._writes = 0
         self._jit_unit = None
+        #: The extension's watch_index() for the current traced
+        #: compiled run (read by block prologues under trace).
+        self._watch = None
 
         entry = program.entry
         self.frames: List[Frame] = [
@@ -146,14 +149,23 @@ class Machine:
     def current_callsite(self, pc: int) -> CallSite:
         """Multi-level call-site for the instruction at ``pc`` in the
         innermost frame: (this function, pc) plus up to two caller
-        return addresses."""
+        return addresses (``CallSite.DEPTH`` is 3)."""
         frames = self.frames
-        addrs = [(frames[-1].func.name, pc)]
-        for frame in frames[-2::-1]:
-            addrs.append((frame.func.name, frame.pc))
-            if len(addrs) == CallSite.DEPTH:
-                break
-        return CallSite.intern(addrs)
+        if len(frames) >= 3:
+            caller, outer = frames[-2], frames[-3]
+            key = ((frames[-1].func.name, pc),
+                   (caller.func.name, caller.pc),
+                   (outer.func.name, outer.pc))
+        elif len(frames) == 2:
+            caller = frames[0]
+            key = ((frames[1].func.name, pc),
+                   (caller.func.name, caller.pc))
+        else:
+            key = ((frames[0].func.name, pc),)
+        site = interned(key)
+        if site is None:
+            site = CallSite.intern(key)
+        return site
 
     # ------------------------------------------------------------------
     # execution
@@ -197,7 +209,11 @@ class Machine:
             self.vm_metrics.flush(self.instr_count - entry_count,
                                   n_reads, n_writes)
 
-    def _run_reference(self, stop_at: Optional[int]) -> RunResult:
+    def _run_reference(self, stop_at: Optional[int],
+                       pending_ns: int = 0) -> RunResult:
+        """The reference interpreter.  ``pending_ns`` is instruction
+        time already batched but not yet charged (a compiled run
+        handing its tail over), which stays batched here too."""
         mem = self.mem
         clock = self.clock
         instr_ns = self.costs.instr_ns
@@ -214,7 +230,6 @@ class Machine:
         # of tens of millions of instructions is pure dispatch
         # overhead, and the clock value is only *observed* at OUT,
         # MALLOC/FREE (extension bookkeeping), and run exits.
-        pending_ns = 0
         # Telemetry counters batch the same way: locals in the loop,
         # one flush per exit.  tel is False whenever no registry is
         # attached, so the disabled path adds no calls.
@@ -433,6 +448,8 @@ class Machine:
         self._pending = 0
         self._reads = 0
         self._writes = 0
+        if self.trace_accesses:
+            self._watch = self.extension.watch_index(self.clock)
 
         while True:
             if stop_at is not None and self.instr_count >= stop_at:
@@ -449,11 +466,15 @@ class Machine:
             if code == 4:
                 # The remaining budget is smaller than this block: the
                 # reference loop steps the tail with per-instruction
-                # stop precision.  Settle the batched state first so
-                # both tiers' charges and flushes compose to the same
-                # totals (no observation happens in between).
+                # stop precision.  Telemetry flushes now; the batched
+                # instruction time stays batched, as it would in a
+                # reference run, so an observation in the tail (a
+                # traced access's flight-recorder timestamp) reads the
+                # clock the reference tier would.
+                pending = self._pending
+                self._pending = 0
                 self._compiled_exit(entry_count)
-                return self._run_reference(stop_at)
+                return self._run_reference(stop_at, pending)
             self._compiled_exit(entry_count)
             if code == 1:
                 return RunResult(RunReason.HALT)

@@ -12,8 +12,19 @@ from repro.errors import (
 )
 from repro.heap.allocator import SMALL_MAX, LeaAllocator
 from repro.heap.base import Memory, PAGE_SIZE
-from repro.heap.chunk import ALIGN, HEADER_SIZE, MIN_CHUNK, ChunkView
+from repro.heap.chunk import (
+    ALIGN,
+    HEADER_SIZE,
+    MIN_CHUNK,
+    ChunkView,
+    round_chunk_size,
+)
+from repro.heap.extension import AllocatorExtension
 from repro.heap.random_alloc import RandomizedLeaAllocator
+from repro.util.callsite import CallSite
+from repro.vm.builder import ProgramBuilder
+from repro.vm.machine import Machine
+from repro.vm.state import Frame
 
 
 @pytest.fixture
@@ -327,3 +338,108 @@ def test_bin_index_rebuilt_on_restore(alloc):
     alloc.restore(snap)
     assert alloc._small_sizes == sorted(alloc._small_bins)
     assert alloc.malloc(100) == addrs[2]
+
+
+# ---------------------------------------------------------------------
+# allocation fast paths against the code they replaced
+# ---------------------------------------------------------------------
+
+class _SetThenMark:
+    """Reference ``malloc_usable``: carve from top with a free header,
+    then set the in-use bit with a second header write."""
+
+    def malloc_usable(self, user_size):
+        need = round_chunk_size(user_size)
+        addr = self._take_from_bins(need)
+        if addr is None:
+            addr = self._take_from_top(need)
+        size = ChunkView(self.mem, addr).mark_in_use()
+        self.n_mallocs += 1
+        self.live_user_bytes += size - HEADER_SIZE
+        self.peak_heap_bytes = max(self.peak_heap_bytes, self.heap_used)
+        return addr + HEADER_SIZE, size - HEADER_SIZE
+
+
+class _SetThenMarkLea(_SetThenMark, LeaAllocator):
+    pass
+
+
+class _SetThenMarkRandomizedLea(_SetThenMark, RandomizedLeaAllocator):
+    pass
+
+
+@settings(max_examples=150, deadline=None)
+@given(script=bin_script, randomized=st.booleans(),
+       seed=st.integers(min_value=0, max_value=2**32))
+def test_single_write_carve_matches_set_then_mark(script, randomized,
+                                                  seed):
+    if randomized:
+        fast = RandomizedLeaAllocator(Memory(), seed)
+        slow = _SetThenMarkRandomizedLea(Memory(), seed)
+    else:
+        fast, slow = LeaAllocator(Memory()), _SetThenMarkLea(Memory())
+    assert _run_bins(fast, script) == _run_bins(slow, script)
+    # Same bins, top and counters -- and, randomized, the same RNG state;
+    # the same bytes and the same dirty pages.
+    assert fast.snapshot() == slow.snapshot()
+    assert fast.mem.snapshot() == slow.mem.snapshot()
+
+
+def test_malloc_usable_reports_the_header_size(alloc):
+    for size in (0, 1, 17, 100, 600, 5000):
+        addr, usable = alloc.malloc_usable(size)
+        assert usable == alloc.usable_size(addr) >= size
+
+
+@pytest.mark.parametrize("offset", [0, 8, 16, PAGE_SIZE - 16,
+                                    PAGE_SIZE - 8, 2 * PAGE_SIZE - 16])
+def test_header_write_matches_two_word_writes(offset):
+    """One ``ChunkView.write`` leaves the bytes and dirty pages of two
+    ``Memory.write_uint`` calls, on a page-straddling (unaligned) header
+    too."""
+    mem, ref = Memory(), Memory()
+    for m in (mem, ref):
+        m.sbrk(2 * PAGE_SIZE)
+        m.clear_dirty()
+    addr = mem.base + offset
+    ChunkView(mem, addr).write(0x1122334455667789, 0xFFFF_FFFF_FFFF_FFF0)
+    ref.write_uint(addr, 8, 0x1122334455667789)
+    ref.write_uint(addr + 8, 8, 0xFFFF_FFFF_FFFF_FFF0)
+    assert mem.snapshot() == ref.snapshot()
+
+
+def _legacy_callsite(machine, pc):
+    """``Machine.current_callsite`` as it was: build a frame list and
+    intern it."""
+    frames = machine.frames
+    addrs = [(frames[-1].func.name, pc)]
+    for frame in frames[-2::-1]:
+        addrs.append((frame.func.name, frame.pc))
+        if len(addrs) == CallSite.DEPTH:
+            break
+    return CallSite.intern(addrs)
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 5])
+def test_current_callsite_matches_legacy_capture(depth):
+    pb = ProgramBuilder()
+    for k in range(5):
+        fb = pb.function(f"f{k}" if k else "main")
+        fb.halt()
+        pb.add(fb)
+    program = pb.build()
+    mem = Memory()
+    machine = Machine(program, mem,
+                      AllocatorExtension(mem, LeaAllocator(mem)))
+    funcs = [program.functions[f"f{k}" if k else "main"]
+             for k in range(depth)]
+    # Fresh pcs per depth: the first capture of a key interns it.
+    base = 1000 * depth
+    machine.frames = [Frame(fn, base + 10 * k, [], None)
+                      for k, fn in enumerate(funcs)]
+    fresh = machine.current_callsite(base + 7)
+    assert fresh is _legacy_callsite(machine, base + 7)
+    assert _legacy_callsite(machine, base + 8) is \
+        machine.current_callsite(base + 8)
+    assert len(fresh.frames) == min(depth, CallSite.DEPTH)
+    assert fresh.innermost == (funcs[-1].name, base + 7)

@@ -1,6 +1,7 @@
 """Property tests for the allocator extension under random operation
 sequences and policies."""
 
+import bisect
 import copy
 from typing import List
 
@@ -10,11 +11,15 @@ from repro.core.changes import AllocChange, FreeChange, DiagnosticPolicy
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
 from repro.heap.extension import (
+    AllocDecision,
     AllocatorExtension,
+    ChangePolicy,
     ExtensionMode,
+    FreeDecision,
     ObjectState,
 )
 from repro.util.callsite import CallSite
+from repro.util.simclock import SimClock
 
 SITE = CallSite([("fn", 1), ("main", 2)])
 
@@ -224,3 +229,154 @@ def test_snapshot_restored_twice_replays_like_a_deep_copy(
     assert observed(third) == observed(reference)
     assert run_replay(third, tail) == run_replay(reference, tail)
     assert observed(third) == observed(reference)
+
+
+# ---------------------------------------------------------------------
+# the watched-interval index against a brute-force classification
+# ---------------------------------------------------------------------
+
+class SmallPadPolicy(ChangePolicy):
+    """Pads, zero fill and delay-free chosen per call-site (small pads
+    keep the heap to a few pages, so every address can be checked)."""
+
+    #: (pad_pre, pad_post, zero fill, delay-free) by innermost pc.
+    SITES = (
+        (48, 32, True, False),
+        (0, 24, False, True),
+        (40, 0, False, False),
+        (0, 0, True, True),
+        (32, 0, False, True),
+        (0, 0, False, False),
+    )
+
+    def on_alloc(self, callsite):
+        pre, post, zero, _ = self.SITES[callsite.innermost[1]]
+        return AllocDecision(pad_pre=pre, pad_post=post,
+                             fill="zero" if zero else None)
+
+    def on_free(self, callsite, user_addr):
+        delay = self.SITES[callsite.innermost[1]][3]
+        return FreeDecision(delay=delay, canary_fill=delay,
+                            check_param=delay)
+
+
+WATCH_SITES = [CallSite([("fn", k), ("main", 2)])
+               for k in range(len(SmallPadPolicy.SITES))]
+
+# Ops: ("m", size, site) malloc; ("f", i, site) free the i-th live
+# object (mod count); ("s",) snapshot; ("r",) restore the latest
+# snapshot; ("t",) restore the latest snapshot into a second extension
+# and carry on in that one.
+_watch_malloc = st.tuples(st.just("m"),
+                          st.integers(min_value=1, max_value=120),
+                          st.integers(min_value=0, max_value=5))
+_watch_free = st.tuples(st.just("f"),
+                        st.integers(min_value=0, max_value=15),
+                        st.integers(min_value=0, max_value=5))
+watch_op = st.one_of(_watch_malloc, _watch_malloc, _watch_free,
+                     _watch_free, st.sampled_from([("s",), ("r",), ("t",)]))
+
+
+def watched_extension() -> AllocatorExtension:
+    mem = Memory()
+    return AllocatorExtension(mem, LeaAllocator(mem),
+                              ExtensionMode.VALIDATION, SmallPadPolicy(),
+                              clock=SimClock(), quarantine_threshold=200)
+
+
+def brute_watched(ext: AllocatorExtension, addr: int) -> bool:
+    """Where ``note_access`` can do more than charge, per its rules."""
+    obj = ext.find_object(addr)
+    if obj is None:
+        return False
+    if obj.state is ObjectState.QUARANTINED:
+        return True
+    if obj.state is not ObjectState.LIVE:
+        return False
+    return (obj.in_pre_pad(addr) or obj.in_post_pad(addr)
+            or obj.written is not None)
+
+
+def assert_index_matches(ext: AllocatorExtension) -> tuple:
+    starts, ends, _, _ = ext.watch_index(ext.clock)
+    assert len(starts) == len(ends)
+    for i in range(1, len(starts)):   # sorted, disjoint, non-empty
+        assert ends[i - 1] <= starts[i] < ends[i]
+    for addr in range(ext.mem.base, ext.mem.brk):
+        hit = addr < ends[bisect.bisect_right(starts, addr) - 1]
+        assert hit == brute_watched(ext, addr), hex(addr)
+    return starts, ends
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(watch_op, min_size=4, max_size=40))
+def test_watched_index_matches_brute_force(script):
+    ext = watched_extension()
+    snaps = None
+    held = assert_index_matches(ext)
+    for op in script:
+        restored = False
+        if op[0] == "m":
+            ext.malloc(op[1], WATCH_SITES[op[2]])
+        elif op[0] == "f":
+            live = [o.user_addr for o in ext.live_objects()]
+            if live:
+                ext.free(live[op[1] % len(live)], WATCH_SITES[op[2]])
+        elif op[0] == "s":
+            snaps = capture(ext)
+        elif snaps is not None:
+            if op[0] == "t":
+                ext = watched_extension()
+            ext.mem.restore(snaps[2])
+            ext.allocator.restore(snaps[1])
+            ext.restore(snaps[0])
+            restored = True
+        starts, ends = assert_index_matches(ext)
+        if not restored:
+            # Kept up to date in place: a run holds these lists.
+            assert starts is held[0] and ends is held[1]
+        held = (starts, ends)
+
+
+def _overlapping_heap():
+    """Objects a, b, c, d, g with b's chunk header rewritten (an
+    unprevented overflow) to claim b's, c's and d's chunks, and b freed:
+    the allocator now bins a chunk that overlaps live c and d.  Returns
+    the extension, b and c."""
+    ext = watched_extension()
+    plain = WATCH_SITES[5]
+    ext.malloc(16, plain)
+    b = ext.malloc(16, plain)
+    c = ext.malloc(16, WATCH_SITES[1])            # post-pad, delay-free
+    d = ext.malloc(16, plain)
+    ext.malloc(16, plain)                         # keeps d off the top
+    assert_index_matches(ext)
+    ext.mem.write_uint(b - 16, 8, (d + 16 - b) | 1)
+    ext.free(b, plain)
+    assert_index_matches(ext)
+    return ext, b, c
+
+
+def test_watched_index_follows_find_object_on_overlapping_chunks():
+    """A chunk handed out over live neighbours: each block is watched
+    only up to the next block start, as ``find_object`` resolves it."""
+    ext, b, c = _overlapping_heap()
+    starts, _ = assert_index_matches(ext)
+    e = ext.malloc(16, WATCH_SITES[2])            # pre-pad 40
+    assert ext.object_at(e).block_addr == b
+    assert b + ext.object_at(e).block_size > c    # overlaps c
+    assert assert_index_matches(ext)[0] is starts
+    ext.free(c, WATCH_SITES[1])                   # quarantined
+    assert_index_matches(ext)
+    ext.free(e, WATCH_SITES[5])
+    assert assert_index_matches(ext)[0] is starts
+
+
+def test_watched_index_rebuilt_when_a_record_is_displaced():
+    """A pre-pad that ends on a live object's user address displaces
+    that object's record, which changes another bucket's answer."""
+    ext, b, c = _overlapping_heap()
+    starts, _ = assert_index_matches(ext)
+    e = ext.malloc(16, WATCH_SITES[4])            # pre-pad 32
+    assert e == c and ext.object_at(c).block_addr == b
+    assert assert_index_matches(ext)[0] is starts

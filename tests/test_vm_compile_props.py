@@ -9,7 +9,12 @@ surface: run reasons, fault type/message/instr_id, frame freezes,
 instruction counts, the simulated clock, output timestamps, memory
 snapshots and the input cursor.  ``stop_at`` chunking is fuzzed too, so
 checkpoint boundaries that land mid-block (the reference-tail path) are
-exercised continuously.
+exercised continuously.  A validation-mode variant runs pointer-rich
+programs under access tracing against an extension that shares the
+machine's clock, pads, zero-fills and delay-frees by call-site, and
+feeds a flight recorder, so the compiled tier's watched-interval trace
+guard and its deferred ``trace_ns`` are held to the reference's
+illegal-access records, ``written`` maps and recorder timestamps.
 
 Deterministic unit tests below pin the compiler's structure: block
 planning and jump threading, loop closing, fusion statistics, the
@@ -19,9 +24,21 @@ input-rewind accounting regression.
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.changes import DiagnosticPolicy, FreeChange
 from repro.heap.allocator import LeaAllocator
 from repro.heap.base import Memory
-from repro.heap.extension import AllocatorExtension, ExtensionMode
+from repro.heap.extension import (
+    PAD_POST,
+    PAD_PRE,
+    AllocDecision,
+    AllocatorExtension,
+    ChangePolicy,
+    ExtensionMode,
+    FreeDecision,
+)
+from repro.obs.recorder import FlightRecorder
+from repro.obs.telemetry import Telemetry
+from repro.util.simclock import SimClock
 from repro.vm import compile as vmc
 from repro.vm.builder import ProgramBuilder
 from repro.vm.io import OutputLog, ReplayableInput
@@ -32,18 +49,57 @@ from repro.vm.machine import Machine
 # ---------------------------------------------------------------------------
 
 
+class SitePolicy(ChangePolicy):
+    """Validation-style changes chosen by the innermost call-site pc:
+    both pads, a post-pad only, a pre-pad only or none; zero fill (so a
+    ``written`` map) on every other site; delay-free on odd sites."""
+
+    PADS = ((PAD_PRE, PAD_POST), (0, 24), (40, 0), (0, 0))
+
+    def on_alloc(self, callsite):
+        pc = callsite.innermost[1]
+        pre, post = self.PADS[pc % 4]
+        return AllocDecision(pad_pre=pre, pad_post=post,
+                             fill="zero" if pc % 2 == 0 else None)
+
+    def on_free(self, callsite, user_addr):
+        delay = callsite.innermost[1] % 2 == 1
+        return FreeDecision(delay=delay, check_param=delay)
+
+
 def machine_for(program, tokens=(), tier=vmc.TIER_REFERENCE,
-                trace=False):
+                trace=False, validation=False, policy=None):
+    """A machine over a DIAGNOSTIC extension with no clock, or, with
+    ``validation``, over a VALIDATION extension that shares the
+    machine's clock, applies ``policy`` (default :class:`SitePolicy`;
+    the quarantine is small enough to evict) and feeds a flight
+    recorder."""
     mem = Memory()
-    ext = AllocatorExtension(mem, LeaAllocator(mem),
-                             ExtensionMode.DIAGNOSTIC)
+    if validation:
+        clock = SimClock()
+        ext = AllocatorExtension(mem, LeaAllocator(mem),
+                                 ExtensionMode.VALIDATION,
+                                 policy or SitePolicy(),
+                                 clock=clock, quarantine_threshold=256)
+        ext.trace_mm = True
+        telemetry = Telemetry(clock)
+        telemetry.recorder = FlightRecorder(mm_capacity=1 << 16,
+                                            access_capacity=1 << 16)
+        ext.attach_telemetry(telemetry)
+    else:
+        clock = None
+        ext = AllocatorExtension(mem, LeaAllocator(mem),
+                                 ExtensionMode.DIAGNOSTIC)
     m = Machine(program, mem, ext, ReplayableInput(list(tokens)),
-                OutputLog(), tier=tier)
+                OutputLog(), clock=clock, tier=tier)
     m.trace_accesses = trace
     return m
 
 
 def observe(m):
+    ext = m.extension
+    recording = (ext._flight.snapshot(0) if ext._flight is not None
+                 else None)
     return dict(
         instr_count=m.instr_count,
         clock=m.clock.now_ns,
@@ -57,16 +113,23 @@ def observe(m):
         output=tuple(m.output.entries()),
         mem=m.mem.snapshot(),
         input_cursor=m.input.snapshot(),
+        illegal=[a.identity() for a in ext.illegal_accesses],
+        written={addr: bytes(obj.written)
+                 for addr, obj in ext._objects.items()
+                 if obj.written is not None},
+        mm_trace=list(ext.mm_trace),
+        accesses=None if recording is None else recording.accesses,
+        mm_records=None if recording is None else recording.mm_records,
     )
 
 
 def run_differential(program, tokens=(), trace=False, chunks=None,
-                     max_runs=20000):
+                     max_runs=20000, validation=False):
     """Run ``program`` under both tiers and assert every observable
     matches; ``chunks`` re-enters via ``stop_at`` budgets."""
     results = []
     for tier in vmc.TIERS:
-        m = machine_for(program, tokens, tier, trace)
+        m = machine_for(program, tokens, tier, trace, validation)
         reasons = []
         if chunks is None:
             reasons.append(m.run().reason)
@@ -195,6 +258,166 @@ def test_fuzz_chunked_stop_at_matches_reference(inits, pre_ops,
                                                 tokens, chunks):
     program = build_random_program(inits, pre_ops, loop_ops, n_loop)
     run_differential(program, tokens=tokens, chunks=chunks)
+
+
+# ---------------------------------------------------------------------------
+# validation mode: pointer-rich programs under access tracing
+# ---------------------------------------------------------------------------
+
+PTRS = ("p", "q", "r")
+
+_ptr = st.sampled_from(PTRS)
+#: Negative offsets reach pre-pads and the previous chunk, large ones
+#: post-pads and the next chunk; dangling pointers reach quarantined
+#: and recycled blocks.
+_voff = st.integers(min_value=-48, max_value=96)
+_vlen = st.integers(min_value=0, max_value=40)
+
+_vop = st.one_of(
+    st.tuples(st.just("binop"), _sym, _var, _var, _var),
+    st.tuples(st.just("out"), _var),
+    st.tuples(st.just("store"), _ptr, _var, _voff, _size),
+    st.tuples(st.just("load"), _var, _ptr, _voff, _size),
+    st.tuples(st.just("memset"), _ptr, _var, _vlen),
+    st.tuples(st.just("memcpy"), _ptr, _ptr, _vlen),
+    st.tuples(st.just("free"), _ptr),
+    st.tuples(st.just("malloc"), _ptr,
+              st.integers(min_value=1, max_value=96)),
+)
+_vops = st.lists(_vop, max_size=14)
+
+
+def _emit_validation(fb, ops, tag):
+    for i, op in enumerate(ops):
+        kind = op[0]
+        if kind == "binop":
+            fb.binop(op[1], op[2], op[3], op[4])
+        elif kind == "out":
+            fb.output(op[1])
+        elif kind == "store":
+            fb.store(op[1], op[2], op[3], op[4])
+        elif kind == "load":
+            fb.load(op[1], op[2], op[3], op[4])
+        elif kind == "memset":
+            fb.const(f"_ln{tag}{i}", op[3])
+            fb.memset(op[1], op[2], f"_ln{tag}{i}")
+        elif kind == "memcpy":
+            fb.const(f"_ln{tag}{i}", op[3])
+            fb.memcpy(op[1], op[2], f"_ln{tag}{i}")
+        elif kind == "free":
+            fb.free(op[1])
+        elif kind == "malloc":
+            fb.const(f"_sz{tag}{i}", op[2])
+            fb.malloc(op[1], f"_sz{tag}{i}")
+
+
+def build_validation_program(inits, sizes, pre_ops, loop_ops, n_loop):
+    """Three heap objects from three call-sites, then random accesses,
+    frees and re-allocations through them, straight-line and in a
+    loop (so freed pointers dangle and blocks change state mid-run)."""
+    pb = ProgramBuilder()
+    fb = pb.function("main")
+    for name, value in zip(VARS, inits):
+        fb.const(name, value)
+    for ptr, size in zip(PTRS, sizes):
+        fb.const(f"_n{ptr}", size)
+        fb.malloc(ptr, f"_n{ptr}")
+    _emit_validation(fb, pre_ops, "p")
+    fb.const("i", 0)
+    fb.const("n", n_loop)
+    fb.label("top")
+    fb.binop("<", "t", "i", "n")
+    fb.jz("t", "done")
+    _emit_validation(fb, loop_ops, "l")
+    fb.addi("i", "i", 1)
+    fb.jmp("top")
+    fb.label("done")
+    for name in VARS:
+        fb.output(name)
+    fb.halt()
+    pb.add(fb)
+    return pb.build()
+
+
+_sizes = st.tuples(*([st.integers(min_value=1, max_value=96)]
+                     * len(PTRS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_inits, _sizes, _vops, _vops,
+       st.integers(min_value=0, max_value=12))
+def test_fuzz_validation_tracing_matches_reference(inits, sizes, pre_ops,
+                                                   loop_ops, n_loop):
+    program = build_validation_program(inits, sizes, pre_ops, loop_ops,
+                                       n_loop)
+    run_differential(program, trace=True, validation=True)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_inits, _sizes, _vops, _vops,
+       st.integers(min_value=0, max_value=12),
+       st.integers(min_value=1, max_value=40))
+def test_fuzz_validation_chunked_matches_reference(inits, sizes, pre_ops,
+                                                   loop_ops, n_loop,
+                                                   chunks):
+    program = build_validation_program(inits, sizes, pre_ops, loop_ops,
+                                       n_loop)
+    run_differential(program, trace=True, chunks=chunks,
+                     validation=True)
+
+
+def test_validation_guard_calls_note_access_only_on_hits(monkeypatch):
+    """Every access of a loop over a live, unpadded object only charges
+    ``trace_ns``: the compiled tier settles those charges without
+    calling ``note_access`` and calls it for the one dangling write
+    into a delay-freed block, which is recorded with the reference's
+    timestamp."""
+    vmc.clear_cache()
+    pb = ProgramBuilder()
+    fb = pb.function("main")
+    fb.const("v", 7)
+    fb.const("sz", 32)
+    fb.malloc("p", "sz")
+    fb.malloc("q", "sz")
+    fb.const("i", 0)
+    fb.const("n", 20)
+    fb.label("top")
+    fb.binop("<", "t", "i", "n")
+    fb.jz("t", "done")
+    fb.store("q", "i", 0, 8)
+    fb.load("v", "q", 0, 8)
+    fb.addi("i", "i", 1)
+    fb.jmp("top")
+    fb.label("done")
+    fb.free("p")
+    fb.store("p", "v", 8, 8)
+    fb.output("v")
+    fb.halt()
+    pb.add(fb)
+    program = pb.build()
+    delay = DiagnosticPolicy(free_default=[FreeChange(delay=True)])
+
+    calls = []
+    note_access = AllocatorExtension.note_access
+
+    def counting(self, *args):
+        calls.append(args[3])
+        return note_access(self, *args)
+
+    monkeypatch.setattr(AllocatorExtension, "note_access", counting)
+    observed = {}
+    for tier in vmc.TIERS:
+        calls.clear()
+        m = machine_for(program, tier=tier, trace=True, validation=True,
+                        policy=delay)
+        assert m.run().reason.value == "halt"
+        observed[tier] = (observe(m), len(calls))
+    ref, compiled = observed[vmc.TIER_REFERENCE], observed[vmc.TIER_COMPILED]
+    assert ref[0] == compiled[0]
+    assert ref[1] == 41 and compiled[1] == 1
+    assert [a[0] for a in ref[0]["illegal"]] == ["dangling-write"]
+    assert [(a.kind, a.time_ns) for a in ref[0]["accesses"]] == \
+        [(a.kind, a.time_ns) for a in compiled[0]["accesses"]]
 
 
 # ---------------------------------------------------------------------------
