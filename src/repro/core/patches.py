@@ -16,7 +16,7 @@ First-Aid prevents reoccurrence system-wide.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, Iterable, List, Optional
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.core.bugtypes import BugType
 from repro.core.changes import (
@@ -214,11 +214,13 @@ class PatchPolicy(ChangePolicy):
         self._rebuild()
 
     def _rebuild(self) -> None:
-        self._alloc: Dict[CallSite, RuntimePatch] = {}
-        self._free: Dict[CallSite, RuntimePatch] = {}
+        # Each entry carries the patch's key, so a trigger does not
+        # re-join the frame string to count itself.
+        self._alloc: Dict[CallSite, Tuple[RuntimePatch, str]] = {}
+        self._free: Dict[CallSite, Tuple[RuntimePatch, str]] = {}
         for patch in self._pool.patches():
             table = self._alloc if patch.apply_at == "alloc" else self._free
-            table[patch.point] = patch
+            table[patch.point] = (patch, patch.key)
 
     def refresh(self) -> None:
         """Re-read the pool after patches were added or removed."""
@@ -233,11 +235,11 @@ class PatchPolicy(ChangePolicy):
     def on_alloc(self, callsite: Optional[CallSite]) -> AllocDecision:
         if callsite is None:
             return AllocDecision.plain()
-        patch = self._alloc.get(callsite)
-        if patch is None:
+        hit = self._alloc.get(callsite)
+        if hit is None:
             return AllocDecision.plain()
+        patch, key = hit
         patch.trigger_count += 1
-        key = patch.key
         self.local_triggers[key] = self.local_triggers.get(key, 0) + 1
         change = patch.change
         assert isinstance(change, AllocChange)
@@ -247,11 +249,11 @@ class PatchPolicy(ChangePolicy):
                 user_addr: int) -> FreeDecision:
         if callsite is None:
             return FreeDecision.plain()
-        patch = self._free.get(callsite)
-        if patch is None:
+        hit = self._free.get(callsite)
+        if hit is None:
             return FreeDecision.plain()
+        patch, key = hit
         patch.trigger_count += 1
-        key = patch.key
         self.local_triggers[key] = self.local_triggers.get(key, 0) + 1
         change = patch.change
         assert isinstance(change, FreeChange)

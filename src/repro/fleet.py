@@ -29,6 +29,47 @@ from repro.rollout import STAGED, PromotionController, is_canary
 from repro.store import SharedPatchStore
 
 
+class LatencyFold:
+    """The output-latency histogram of a process's output log, folded
+    incrementally: each :meth:`fold` observes only the entries emitted
+    since the previous one.
+
+    The log only appends and truncates, and every emitted entry is a
+    fresh tuple, so the folded prefix is intact exactly when the entry
+    at the mark is still the same object.  A restore below the mark, or
+    a restarted process's new log, fails that test and the fold starts
+    over -- the result is always the histogram a from-scratch pass over
+    the whole log builds."""
+
+    __slots__ = ("hist", "count", "last", "prev")
+
+    def __init__(self) -> None:
+        self._reset()
+
+    def _reset(self) -> None:
+        self.hist = Histogram("latency_ns", LATENCY_BOUNDS)
+        self.count = 0      # entries folded
+        self.last = None    # the last folded entry object
+        self.prev = 0       # its timestamp
+
+    def fold(self, log) -> Histogram:
+        new = log.since(max(self.count - 1, 0))
+        if self.count:
+            if new and new[0] is self.last:
+                new = new[1:]
+            else:
+                self._reset()
+                new = log.since(0)
+        if new:
+            observe, prev = self.hist.observe, self.prev
+            for time_ns, _ in new:
+                observe(time_ns - prev)
+                prev = time_ns
+            self.count += len(new)
+            self.last, self.prev = new[-1], prev
+        return self.hist
+
+
 class FleetMember:
     """The fleet wiring of one store-backed runtime.  It reads the
     runtime's live pool, policy, process and recoveries at each call,
@@ -52,6 +93,7 @@ class FleetMember:
         self.generation = -1
         self.boundaries = 0
         self.beacon_seq = 0
+        self.latency = LatencyFold()
         self.store = SharedPatchStore(config.store_path, program_name)
         self.store.events = self.events
         self.health = HealthChannel(
@@ -262,11 +304,7 @@ class FleetMember:
         recovery = Histogram("recovery_ns", RECOVERY_BOUNDS)
         for record in recoveries:
             recovery.observe(record.recovery_time_ns)
-        latency = Histogram("latency_ns", LATENCY_BOUNDS)
-        prev = 0
-        for time_ns, _ in rt.process.output.entries():
-            latency.observe(time_ns - prev)
-            prev = time_ns
+        latency = self.latency.fold(rt.process.output)
         sampling = {}
         stats = rt.process.extension.sampling_stats
         if rt.config.sampling_rate > 0 and stats is not None:

@@ -17,11 +17,15 @@ pages dirtied in each interval, and Tables 6-7 measure exactly that.
 
 from __future__ import annotations
 
+import struct
 from typing import Dict, FrozenSet, Iterable, Mapping, Set
 
 from repro.errors import SegmentationFault
 
 PAGE_SIZE = 4096
+#: ``off >> PAGE_SHIFT`` is ``off // PAGE_SIZE`` for the non-negative
+#: offsets every access has after its bounds check.
+PAGE_SHIFT = PAGE_SIZE.bit_length() - 1
 
 #: Base virtual address of the simulated heap.  Chosen high enough that
 #: small integers, canary-derived garbage values, and NULL all fault.
@@ -29,6 +33,21 @@ HEAP_BASE = 0x0010_0000
 
 #: Default ceiling for heap growth (64 MiB of simulated heap).
 DEFAULT_LIMIT = 64 * 1024 * 1024
+
+#: One little-endian codec per access width: width -> (unpack_from,
+#: pack_into, mask).  Its keys are the ISA's ``VALID_MEM_SIZES``; the
+#: compiled tier binds the same functions into its blocks (and indexes
+#: the buffer directly for width 1), so both tiers encode every load
+#: and store identically.  ``pack_into`` raises on an out-of-range
+#: value, so a store packs ``value & mask``: the low ``size`` bytes,
+#: as a C store of the truncated value writes them.
+MEM_CODECS = {
+    size: (codec.unpack_from, codec.pack_into, (1 << (8 * size)) - 1)
+    for size, codec in ((1, struct.Struct("<B")),
+                        (2, struct.Struct("<H")),
+                        (4, struct.Struct("<I")),
+                        (8, struct.Struct("<Q")))
+}
 
 
 class Memory:
@@ -109,14 +128,20 @@ class Memory:
         self._mark_dirty(off, len(data))
 
     def read_uint(self, addr: int, size: int) -> int:
-        off = self._check(addr, size)
-        return int.from_bytes(self._buf[off:off + size], "little")
+        """Little-endian load of ``size`` (a ``MEM_CODECS`` width)
+        bytes."""
+        unpack = MEM_CODECS[size][0]
+        return unpack(self._buf, self._check(addr, size))[0]
 
     def write_uint(self, addr: int, size: int, value: int) -> None:
+        """Little-endian store of ``value`` truncated to ``size`` (a
+        ``MEM_CODECS`` width) bytes."""
+        _, pack, mask = MEM_CODECS[size]
         off = self._check(addr, size)
-        self._buf[off:off + size] = (value & ((1 << (8 * size)) - 1)
-                                     ).to_bytes(size, "little")
-        self._mark_dirty(off, size)
+        pack(self._buf, off, value & mask)
+        self._dirty_pages.add(off >> PAGE_SHIFT)
+        if (off & (PAGE_SIZE - 1)) > PAGE_SIZE - size:
+            self._dirty_pages.add((off >> PAGE_SHIFT) + 1)
 
     def fill(self, addr: int, byte: int, size: int) -> None:
         off = self._check(addr, size)
@@ -124,17 +149,28 @@ class Memory:
         self._mark_dirty(off, size)
 
     def copy_within(self, dst: int, src: int, size: int) -> None:
-        data = self.read_bytes(src, size)
-        self.write_bytes(dst, data)
+        # Source checked first, as a read-then-write would.  The slice
+        # is a copy, so overlapping ranges behave like memmove.
+        soff = self._check(src, size)
+        doff = self._check(dst, size)
+        buf = self._buf
+        buf[doff:doff + size] = buf[soff:soff + size]
+        self._mark_dirty(doff, size)
 
     # ------------------------------------------------------------------
     # dirty-page (COW) accounting
     # ------------------------------------------------------------------
 
     def _mark_dirty(self, off: int, size: int) -> None:
-        first = off // PAGE_SIZE
-        last = (off + max(size, 1) - 1) // PAGE_SIZE
-        self._dirty_pages.update(range(first, last + 1))
+        """Dirty the pages ``[off, off + size)`` touches (the page of
+        ``off`` for ``size == 0``): one ``set.add`` unless the range
+        straddles a page boundary."""
+        first = off >> PAGE_SHIFT
+        last = (off + max(size, 1) - 1) >> PAGE_SHIFT
+        if first == last:
+            self._dirty_pages.add(first)
+        else:
+            self._dirty_pages.update(range(first, last + 1))
 
     @property
     def dirty_pages(self) -> FrozenSet[int]:

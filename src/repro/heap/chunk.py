@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 
 from repro.errors import HeapCorruptionFault
-from repro.heap.base import PAGE_SIZE, Memory
+from repro.heap.base import MEM_CODECS, PAGE_SHIFT, Memory
 
 HEADER_SIZE = 16
 ALIGN = 16
@@ -35,11 +35,8 @@ FLAG_IN_USE = 0x1
 #: Low bits of ``size_flags`` that hold flags, not size.
 FLAG_MASK = 0xF
 
-_U64 = struct.Struct("<Q")
-_unpack_u64 = _U64.unpack_from
-_pack_u64 = _U64.pack_into
+_unpack_u64, _pack_u64, _U64_MASK = MEM_CODECS[8]
 _pack_header = struct.Struct("<QQ").pack_into
-_U64_MASK = (1 << 64) - 1
 
 
 def round_chunk_size(payload: int) -> int:
@@ -70,7 +67,7 @@ def _header_word(offset: int, doc: str) -> property:
         if 0 <= off <= len(buf) - 8 and not off & 7:
             _pack_u64(buf, off, value & _U64_MASK)
             # An aligned word never crosses a page boundary.
-            mem._dirty_pages.add(off // PAGE_SIZE)
+            mem._dirty_pages.add(off >> PAGE_SHIFT)
         else:
             mem.write_uint(self.addr + offset, 8, value)
 
@@ -132,7 +129,7 @@ class ChunkView:
         if 0 <= off <= len(buf) - HEADER_SIZE and not off & 15:
             _pack_header(buf, off, size_flags & _U64_MASK,
                          prev_size & _U64_MASK)
-            mem._dirty_pages.add(off // PAGE_SIZE)
+            mem._dirty_pages.add(off >> PAGE_SHIFT)
         else:
             self.size_flags = size_flags
             self.prev_size = prev_size

@@ -34,7 +34,11 @@ class CallSite:
 
     DEPTH = 3
 
-    __slots__ = ("frames",)
+    #: ``_hash`` caches ``hash(frames)``: every patch-policy lookup
+    #: hashes the site, and the frame tuple never changes.  Pickling
+    #: goes through :meth:`intern`, so a receiving process recomputes
+    #: it under its own string-hash seed.
+    __slots__ = ("frames", "_hash")
 
     def __init__(self, frames: Iterable[Addr]):
         frames = tuple(frames)[: self.DEPTH]
@@ -45,6 +49,7 @@ class CallSite:
                     and isinstance(fr[0], str) and isinstance(fr[1], int)):
                 raise ValueError(f"bad call-site frame: {fr!r}")
         object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "_hash", hash(frames))
 
     @classmethod
     def intern(cls, frames: Iterable[Addr]) -> "CallSite":
@@ -82,7 +87,7 @@ class CallSite:
         return isinstance(other, CallSite) and self.frames == other.frames
 
     def __hash__(self) -> int:
-        return hash(self.frames)
+        return self._hash
 
     def __repr__(self) -> str:
         inner = "<".join(f"{fn}+{pc}" for fn, pc in self.frames)

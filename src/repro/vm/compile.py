@@ -12,7 +12,7 @@ split into extended basic blocks, and each block entry point is
 into one Python closure with every operand baked in as a constant::
 
     LOAD t, base, 8, 8          _o1 = loc[2] + 8 - mbase
-    ADDI t, t, 1          ==>   _v1 = _fb(mbuf[_o1:_o1+8], "little")
+    ADDI t, t, 1          ==>   _v1 = _u8(mbuf, _o1)[0]
     STORE base, 8, 8, t         loc[4] = _v1
                                 ...
 
@@ -51,10 +51,12 @@ Superinstruction fusion, applied during emission:
   check keeps ``stop_at`` exact);
 * **inline memory access** -- LOAD/STORE emit the simulated heap's
   bounds check (against a block-local segment length, refreshed after
-  MALLOC, the only in-block op that can grow the segment), byte
-  conversion, and dirty-page marking inline, delegating to
-  :class:`~repro.heap.base.Memory` only on the faulting path (which
-  re-raises the byte-identical ``SegmentationFault``);
+  MALLOC, the only in-block op that can grow the segment), the access
+  width's codec from :data:`~repro.heap.base.MEM_CODECS` (a plain
+  ``mbuf[o]`` index for one byte, a bound ``struct`` ``unpack_from`` /
+  ``pack_into`` otherwise), and shift-based dirty-page marking inline,
+  delegating to :class:`~repro.heap.base.Memory` only on the faulting
+  path (which re-raises the byte-identical ``SegmentationFault``);
 * **trace guard** -- under ``trace_accesses`` each access does one
   ``bisect_right`` and one compare against the extension's
   watched-interval index (:meth:`AllocatorExtension.watch_index`) and
@@ -84,7 +86,7 @@ from repro.errors import (
     ProgramError,
     SimulatedFault,
 )
-from repro.heap.base import PAGE_SIZE
+from repro.heap.base import MEM_CODECS, PAGE_SHIFT, PAGE_SIZE
 from repro.heap.extension import ExtensionMode
 from repro.vm import isa
 from repro.vm.state import Frame
@@ -106,6 +108,14 @@ STEP = 4          # budget smaller than block: reference steps the tail
 MAX_BLOCK = 2048
 
 _MASK = "0xFFFFFFFFFFFFFFFF"
+
+#: The memory's codecs for the multi-byte widths, as block globals:
+#: ``_u8(mbuf, o)[0]`` loads and ``_p8(mbuf, o, v)`` stores 8 bytes.
+_CODECS = {
+    f"_{kind}{size}": fn
+    for size, (unpack, pack, _) in MEM_CODECS.items() if size > 1
+    for kind, fn in (("u", unpack), ("p", pack))
+}
 
 #: Ops that end a block's straight-line emission (JMP is *followed*,
 #: not listed: jump threading).
@@ -723,15 +733,16 @@ class CompiledFunction:
         a = self._addr_expr(em, instr[2], instr[3])
         em.globals[f"_iid{pc}"] = (self.name, pc)
         em.trace_guard(a, repr(size), False, f"_iid{pc}")
-        # Memory.read_uint inlined: bounds check + little-endian
-        # decode; the failing branch calls the real method, which
-        # raises the byte-identical SegmentationFault.
+        # Memory.read_uint inlined: bounds check + the width's codec
+        # (a plain index for one byte); the failing branch calls the
+        # real method, which raises the byte-identical
+        # SegmentationFault.
         o = em.fresh_temp()
         em.emit(f"{o} = {a} - mbase")
         em.emit(f"if {o} < 0 or {o} + {size} > mlen:")
         em.emit(f"    mread({a}, {size!r})")
-        em.write(instr[1], f"_fb(mbuf[{o}:{o} + {size}], 'little')",
-                 _used_soon(self.code, pc, instr[1]))
+        expr = f"mbuf[{o}]" if size == 1 else f"_u{size}(mbuf, {o})[0]"
+        em.write(instr[1], expr, _used_soon(self.code, pc, instr[1]))
         em.emit("nr += 1")
 
     def _emit_store(self, em: _Emitter, pc: int, index: int,
@@ -749,27 +760,19 @@ class CompiledFunction:
         fallback_val = repr(lit) if lit is not None else em.read(val_slot)
         em.emit(f"if {o} < 0 or {o} + {size} > mlen:")
         em.emit(f"    mwrite({a}, {size!r}, {fallback_val})")
-        if lit is not None:
-            data = (lit & ((1 << (8 * size)) - 1)).to_bytes(size,
-                                                            "little")
-            em.emit(f"mbuf[{o}:{o} + {size}] = {data!r}")
+        mask = MEM_CODECS[size][2]
+        val = (repr(lit & mask) if lit is not None
+               else f"{em.read(val_slot)} & {mask!r}")
+        if size == 1:
+            em.emit(f"mbuf[{o}] = {val}")
         else:
-            mask = (1 << (8 * size)) - 1
-            em.emit(f"mbuf[{o}:{o} + {size}] = "
-                    f"({em.read(val_slot)} & {mask!r})"
-                    f".to_bytes({size}, 'little')")
-        # Memory._mark_dirty inlined (spans at most two pages for the
-        # word sizes the ISA allows).
-        p0 = em.fresh_temp()
-        em.emit(f"{p0} = {o} // {PAGE_SIZE}")
+            em.emit(f"_p{size}(mbuf, {o}, {val})")
+        # Memory.write_uint's dirty marking: the page of the first
+        # byte, plus the next one when the word straddles the edge.
+        em.emit(f"mdirty.add({o} >> {PAGE_SHIFT})")
         if size > 1:
-            p1 = em.fresh_temp()
-            em.emit(f"{p1} = ({o} + {size - 1}) // {PAGE_SIZE}")
-            em.emit(f"mdirty.add({p0})")
-            em.emit(f"if {p1} != {p0}:")
-            em.emit(f"    mdirty.add({p1})")
-        else:
-            em.emit(f"mdirty.add({p0})")
+            em.emit(f"if ({o} & {PAGE_SIZE - 1}) > {PAGE_SIZE - size}:")
+            em.emit(f"    mdirty.add(({o} >> {PAGE_SHIFT}) + 1)")
         em.emit("nw += 1")
 
     # -- terminators ------------------------------------------------------
@@ -990,10 +993,10 @@ class CompiledFunction:
             "_AssertFail": AssertionFailure,
             "_Frame": Frame,
             "_OFF": ExtensionMode.OFF,
-            "_fb": int.from_bytes,
             "_br": bisect_right,
             "_done": em.done,
             "_unf": em.unflushed,
+            **_CODECS,
         }
         namespace.update(em.globals)
         exec(compile(source, f"<jit {self.name}+{em.entry_pc}>",

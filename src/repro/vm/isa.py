@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from typing import Optional, Tuple
 
+from repro.heap.base import MEM_CODECS
+
 # -- opcode numbering (dense, keep in sync with OPCODE_NAMES) -----------
 NOP = 0
 CONST = 1      # dst, imm
@@ -78,7 +80,9 @@ BINOPS = {
     "<": LT, "<=": LE, ">": GT, ">=": GE, "==": EQ, "!=": NE,
 }
 
-VALID_MEM_SIZES = (1, 2, 4, 8)
+#: LOAD/STORE widths: exactly the widths the simulated memory has a
+#: codec for.
+VALID_MEM_SIZES = tuple(MEM_CODECS)
 
 Instr = Tuple[int, Optional[object], Optional[object],
               Optional[object], Optional[object]]

@@ -17,6 +17,7 @@ from repro.core.changes import (
 from repro.core.patches import PatchPolicy, PatchPool, RuntimePatch
 from repro.errors import PatchError
 from repro.heap.extension import PAD_POST, PAD_PRE
+from repro.util.callsite import CallSite
 from tests.conftest import site
 
 
@@ -186,6 +187,28 @@ class TestPatchPolicy:
         policy.on_alloc(s)
         policy.on_alloc(s)
         assert patch.trigger_count == 2
+
+    def test_non_interned_sites_trigger_like_interned_ones(self):
+        """A freshly constructed site (its own cached hash) finds the
+        patch registered under the interned one, and both count under
+        the same ``local_triggers`` key the pool reports."""
+        pool = PatchPool("app")
+        frames = (("builder", 4), ("handler", 2))
+        interned = CallSite.intern(frames)
+        fresh = CallSite(frames)
+        assert fresh is not interned
+        assert fresh == interned and hash(fresh) == hash(interned)
+        overflow = pool.new_patch(BugType.BUFFER_OVERFLOW, fresh)
+        dangling = pool.new_patch(BugType.DANGLING_READ,
+                                  CallSite([("rel", 1)]))
+        policy = PatchPolicy(pool)
+        assert policy.on_alloc(interned).patch_id == overflow.patch_id
+        assert policy.on_alloc(fresh).patch_id == overflow.patch_id
+        policy.on_free(CallSite.intern([("rel", 1)]), 0x100)
+        policy.on_alloc(CallSite([("other", 9)]))
+        assert policy.local_triggers == {overflow.key: 2,
+                                         dangling.key: 1}
+        assert overflow.key == "buffer-overflow@builder+4;handler+2"
 
     def test_refresh_picks_up_new_patches(self):
         pool = PatchPool("app")

@@ -1,9 +1,11 @@
 """Unit tests for the simulated memory segment."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.errors import SegmentationFault
-from repro.heap.base import HEAP_BASE, PAGE_SIZE, Memory
+from repro.heap.base import HEAP_BASE, MEM_CODECS, PAGE_SIZE, Memory
+from repro.vm.isa import VALID_MEM_SIZES
 
 
 def test_initially_unmapped():
@@ -131,3 +133,111 @@ def test_snapshot_restore_roundtrip():
 def test_unaligned_base_rejected():
     with pytest.raises(ValueError):
         Memory(base=1000)
+
+
+# ---------------------------------------------------------------------------
+# width codecs against the slice-and-int implementation they replaced
+# ---------------------------------------------------------------------------
+
+
+class SliceCodecMemory(Memory):
+    """The oracle: ``int.from_bytes``/``to_bytes`` over buffer slices
+    and a ``range`` of dirty pages for every write, as before the
+    per-width codec table."""
+
+    __slots__ = ()
+
+    def read_uint(self, addr, size):
+        off = self._check(addr, size)
+        return int.from_bytes(self._buf[off:off + size], "little")
+
+    def write_uint(self, addr, size, value):
+        off = self._check(addr, size)
+        self._buf[off:off + size] = (value & ((1 << (8 * size)) - 1)
+                                     ).to_bytes(size, "little")
+        self._mark_dirty(off, size)
+
+    def fill(self, addr, byte, size):
+        off = self._check(addr, size)
+        self._buf[off:off + size] = bytes([byte & 0xFF]) * size
+        self._mark_dirty(off, size)
+
+    def copy_within(self, dst, src, size):
+        self.write_bytes(dst, self.read_bytes(src, size))
+
+    def _mark_dirty(self, off, size):
+        first = off // PAGE_SIZE
+        last = (off + max(size, 1) - 1) // PAGE_SIZE
+        self._dirty_pages.update(range(first, last + 1))
+
+
+_PAGES = 3
+_METHODS = {"read": "read_uint", "write": "write_uint", "fill": "fill",
+            "copy": "copy_within"}
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except SegmentationFault as fault:
+        return ("fault", str(fault), fault.address)
+
+
+#: Addresses within 12 bytes of every page edge of a three-page
+#: segment: below the base, across each interior edge, up to and past
+#: the break.
+_edge_addr = st.builds(
+    lambda page, delta: HEAP_BASE + page * PAGE_SIZE + delta,
+    st.integers(min_value=0, max_value=_PAGES),
+    st.integers(min_value=-12, max_value=12))
+_width = st.sampled_from(VALID_MEM_SIZES)
+_access = st.one_of(
+    st.tuples(st.just("read"), _edge_addr, _width),
+    st.tuples(st.just("write"), _edge_addr, _width,
+              st.integers(min_value=0, max_value=2 ** 64 + 5)),
+    st.tuples(st.just("fill"), _edge_addr, st.integers(0, 300),
+              st.integers(min_value=0, max_value=20)),
+    st.tuples(st.just("copy"), _edge_addr, _edge_addr,
+              st.integers(min_value=0, max_value=20)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_access, min_size=1, max_size=24))
+def test_width_codecs_match_slice_oracle(accesses):
+    """``read_uint``/``write_uint`` (and ``fill``/``copy_within``, which
+    share the dirty-page fast path) return the oracle's values, leave
+    its bytes and dirty pages, and raise its SegmentationFault text at
+    and past the segment end."""
+    mem, oracle = Memory(), SliceCodecMemory()
+    for m in (mem, oracle):
+        m.sbrk(_PAGES * PAGE_SIZE)
+        m.clear_dirty()
+    for kind, *args in accesses:
+        method = _METHODS[kind]
+        got, want = (_outcome(lambda m=m: getattr(m, method)(*args))
+                     for m in (mem, oracle))
+        assert got == want
+        assert mem.snapshot() == oracle.snapshot()
+
+
+def test_codec_table_covers_the_isa_widths():
+    assert VALID_MEM_SIZES == tuple(MEM_CODECS) == (1, 2, 4, 8)
+    for size, (unpack, pack, mask) in MEM_CODECS.items():
+        buf = bytearray(size)
+        pack(buf, 0, mask)
+        assert bytes(buf) == b"\xff" * size
+        assert unpack(buf, 0) == (mask,)
+
+
+def test_page_end_word_dirties_one_page():
+    """A word ending exactly on a page edge dirties only its own page;
+    one byte later it straddles into the next."""
+    mem = Memory()
+    mem.sbrk(2 * PAGE_SIZE)
+    for size in (2, 4, 8):
+        mem.clear_dirty()
+        mem.write_uint(mem.base + PAGE_SIZE - size, size, 1)
+        assert mem.dirty_pages == frozenset({0})
+        mem.write_uint(mem.base + PAGE_SIZE - size + 1, size, 1)
+        assert mem.dirty_pages == frozenset({0, 1})

@@ -5,11 +5,14 @@ import json
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.apps.registry import get_app
 from repro.bench.harness import spaced_workload
 from repro.core.runtime import FirstAidConfig, FirstAidRuntime
+from repro.fleet import LatencyFold
 from repro.obs.health import (
+    LATENCY_BOUNDS,
     FleetHealthAggregator,
     HealthBeacon,
     HealthChannel,
@@ -17,6 +20,8 @@ from repro.obs.health import (
     aggregate_store,
     health_path,
 )
+from repro.obs.metrics import Histogram
+from repro.vm.io import OutputLog
 
 
 def beacon(pid="p-0", seq=1, time_ns=1000, **kw):
@@ -272,3 +277,120 @@ def test_torn_health_write_degrades_and_retries(tmp_path):
     assert errors  # the fault surfaced as degradation...
     report = aggregate_store(store)  # ...and the beacon still landed
     assert [r["process_id"] for r in report.processes] == ["t-0"]
+
+
+# ---------------------------------------------------------------------
+# incremental latency histogram
+# ---------------------------------------------------------------------
+
+def scratch_latency(log):
+    """The beacon's latency histogram built over the whole log."""
+    hist = Histogram("latency_ns", LATENCY_BOUNDS)
+    prev = 0
+    for time_ns, _ in log.entries():
+        hist.observe(time_ns - prev)
+        prev = time_ns
+    return hist.to_snapshot()
+
+
+#: Output gaps spread over every latency bucket, overflow included.
+_gap = st.builds(lambda digit, exp: digit * 10 ** exp,
+                 st.integers(min_value=0, max_value=9),
+                 st.integers(min_value=3, max_value=10))
+_log_op = st.one_of(
+    st.tuples(st.just("emit"), st.lists(_gap, max_size=6)),
+    st.tuples(st.just("restore"), st.integers(min_value=0, max_value=8)),
+    st.tuples(st.just("restart"), st.integers(min_value=0, max_value=8)),
+    st.tuples(st.just("beacon"), st.none()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_log_op, max_size=40))
+def test_latency_fold_matches_from_scratch(ops):
+    """Emits, restores (rollback truncation, then re-emission of the
+    same or different entries) and restarts (a fresh log, preloaded
+    with a prefix of the old one, as a re-execution task's is): every
+    fold equals the histogram built over the whole log."""
+    log, fold = OutputLog(), LatencyFold()
+    for kind, arg in ops + [("beacon", None)]:
+        if kind == "emit":
+            now = log.entries()[-1][0] if len(log) else 0
+            for delta in arg:
+                now += delta
+                log.emit(now, delta & 0xFF)
+        elif kind == "restore":     # roll back ``arg`` entries
+            log.restore(max(len(log) - arg, 0))
+        elif kind == "restart":     # keep all but the last ``arg``
+            fresh = OutputLog()
+            fresh.preload(log.entries()[:max(len(log) - arg, 0)])
+            log = fresh
+        else:
+            assert fold.fold(log).to_snapshot() == scratch_latency(log)
+
+
+def test_latency_fold_starts_over_below_the_mark():
+    """A rollback below the folded mark that re-emits past it, and a
+    restart whose new log repeats the old one's entries, both rebuild;
+    a rollback above the mark only extends."""
+    log, fold = OutputLog(), LatencyFold()
+    for ms in (5, 6, 7, 8):
+        log.emit(ms * 10 ** 6, 0)
+    assert fold.fold(log).to_snapshot() == scratch_latency(log)
+    log.restore(1)
+    for ms in (50, 60, 70, 80):
+        log.emit(ms * 10 ** 6, 0)
+    assert fold.fold(log).to_snapshot() == scratch_latency(log)
+    restarted = OutputLog()
+    restarted.preload(log.entries()[:3])
+    restarted.emit(10 ** 9, 0)
+    restarted.emit(2 * 10 ** 9, 0)
+    assert fold.fold(restarted).to_snapshot() == scratch_latency(restarted)
+    restarted.emit(3 * 10 ** 9, 0)
+    restarted.emit(4 * 10 ** 9, 0)
+    restarted.restore(6)
+    restarted.emit(5 * 10 ** 9, 0)
+    hist = fold.fold(restarted)
+    assert fold.count == 7
+    assert hist.to_snapshot() == scratch_latency(restarted)
+
+
+def test_runtime_beacons_fold_latency_like_from_scratch(tmp_path,
+                                                      monkeypatch):
+    """A session that beacons at every checkpoint boundary and rolls
+    back for its recoveries: every beacon's histogram equals the one
+    built over the whole output log at that moment, and the fold both
+    extended a prefix and started over after a rollback."""
+    calls = []
+    fold = LatencyFold.fold
+    reset = LatencyFold._reset
+
+    def checked(self, log):
+        hist = fold(self, log)
+        assert hist.to_snapshot() == scratch_latency(log)
+        calls.append("fold")
+        return hist
+
+    def counted(self):
+        calls.append("reset")
+        reset(self)
+
+    monkeypatch.setattr(LatencyFold, "fold", checked)
+    monkeypatch.setattr(LatencyFold, "_reset", counted)
+    app = get_app("apache")
+    wl = spaced_workload(app, triggers=2, seed=42)
+    runtime = FirstAidRuntime(
+        app.program(), input_tokens=wl.tokens,
+        config=FirstAidConfig(store_path=str(tmp_path / "store.json"),
+                              process_label="leader-0",
+                              store_refresh_boundaries=1))
+    session = runtime.run()
+    runtime.close()
+    assert session.recoveries
+    assert calls.count("fold") > 2
+    # One reset at construction, at least one after a rollback.
+    assert calls.count("reset") >= 2
+    state = HealthChannel(health_path(str(tmp_path / "store.json")),
+                          "apache").load()
+    b = HealthBeacon.from_json(state.live_beacons()["leader-0"])
+    assert b.latency_ns == scratch_latency(runtime.process.output)

@@ -27,6 +27,17 @@ def test_equality_and_hash():
     assert len({a, b, c}) == 2
 
 
+def test_hash_is_cached_and_survives_pickling():
+    import pickle
+
+    fresh = CallSite([("f", 3), ("g", 7)])
+    interned = CallSite.intern([("f", 3), ("g", 7)])
+    assert hash(fresh) == hash(interned) == hash(fresh.frames)
+    clone = pickle.loads(pickle.dumps(fresh))
+    assert clone is interned
+    assert hash(clone) == hash(fresh.frames)
+
+
 def test_usable_as_dict_key():
     table = {CallSite([("f", 1)]): "patch"}
     assert table[CallSite([("f", 1)])] == "patch"

@@ -9,12 +9,15 @@ surface: run reasons, fault type/message/instr_id, frame freezes,
 instruction counts, the simulated clock, output timestamps, memory
 snapshots and the input cursor.  ``stop_at`` chunking is fuzzed too, so
 checkpoint boundaries that land mid-block (the reference-tail path) are
-exercised continuously.  A validation-mode variant runs pointer-rich
-programs under access tracing against an extension that shares the
-machine's clock, pads, zero-fills and delay-frees by call-site, and
-feeds a flight recorder, so the compiled tier's watched-interval trace
-guard and its deferred ``trace_ns`` are held to the reference's
-illegal-access records, ``written`` maps and recorder timestamps.
+exercised continuously.  A page-edge variant moves the accesses to a
+page boundary and to the break, so compiled loads and stores straddle
+pages, end exactly on an edge and run past the segment.  A
+validation-mode variant runs pointer-rich programs under access
+tracing against an extension that shares the machine's clock, pads,
+zero-fills and delay-frees by call-site, and feeds a flight recorder,
+so the compiled tier's watched-interval trace guard and its deferred
+``trace_ns`` are held to the reference's illegal-access records,
+``written`` maps and recorder timestamps.
 
 Deterministic unit tests below pin the compiler's structure: block
 planning and jump threading, loop closing, fusion statistics, the
@@ -26,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.changes import DiagnosticPolicy, FreeChange
 from repro.heap.allocator import LeaAllocator
-from repro.heap.base import Memory
+from repro.heap.base import PAGE_SIZE, Memory
 from repro.heap.extension import (
     PAD_POST,
     PAD_PRE,
@@ -181,7 +184,7 @@ _tokens = st.lists(st.integers(min_value=0, max_value=2 ** 40),
                    max_size=6)
 
 
-def _emit(fb, g0, ops, tag):
+def _emit(fb, g0, ops, tag, ptr="p"):
     for i, op in enumerate(ops):
         kind = op[0]
         if kind == "binop":
@@ -193,25 +196,30 @@ def _emit(fb, g0, ops, tag):
         elif kind == "in":
             fb.input(op[1])
         elif kind == "store":
-            fb.store("p", op[1], op[2], op[3])
+            fb.store(ptr, op[1], op[2], op[3])
         elif kind == "load":
-            fb.load(op[1], "p", op[2], op[3])
+            fb.load(op[1], ptr, op[2], op[3])
         elif kind == "call":
             fb.call(op[1], "twice", [op[2]])
         elif kind == "memset":
             fb.const(f"_ln{tag}{i}", op[2])
-            fb.memset("p", op[1], f"_ln{tag}{i}")
+            fb.memset(ptr, op[1], f"_ln{tag}{i}")
         elif kind == "memcpy":
             fb.const(f"_ln{tag}{i}", op[1])
-            fb.addi(f"_q{tag}{i}", "p", 8)
-            fb.memcpy(f"_q{tag}{i}", "p", f"_ln{tag}{i}")
+            fb.addi(f"_q{tag}{i}", ptr, 8)
+            fb.memcpy(f"_q{tag}{i}", ptr, f"_ln{tag}{i}")
         elif kind == "gstore":
             fb.gstore(g0, op[1])
         elif kind == "gload":
             fb.gload(op[1], g0)
 
 
-def build_random_program(inits, pre_ops, loop_ops, n_loop):
+def build_random_program(inits, pre_ops, loop_ops, n_loop,
+                         edge_shift=None):
+    """Random straight-line and loop traffic through a 64-byte block
+    ``p``; with ``edge_shift``, ``p`` is the two-page block of
+    :data:`EDGE_BLOCK` bytes and every access goes through
+    ``e = p + edge_shift``."""
     pb = ProgramBuilder()
     g0 = pb.global_slot("g0")
     tw = pb.function("twice", params=("n",))
@@ -221,15 +229,19 @@ def build_random_program(inits, pre_ops, loop_ops, n_loop):
     fb = pb.function("main")
     for name, value in zip(VARS, inits):
         fb.const(name, value)
-    fb.const("sz", 64)
+    fb.const("sz", 64 if edge_shift is None else EDGE_BLOCK)
     fb.malloc("p", "sz")
-    _emit(fb, g0, pre_ops, "p")
+    ptr = "p"
+    if edge_shift is not None:
+        ptr = "e"
+        fb.addi(ptr, "p", edge_shift)
+    _emit(fb, g0, pre_ops, "p", ptr)
     fb.const("i", 0)
     fb.const("n", n_loop)
     fb.label("top")
     fb.binop("<", "t", "i", "n")
     fb.jz("t", "done")
-    _emit(fb, g0, loop_ops, "l")
+    _emit(fb, g0, loop_ops, "l", ptr)
     fb.addi("i", "i", 1)
     fb.jmp("top")
     fb.label("done")
@@ -258,6 +270,52 @@ def test_fuzz_chunked_stop_at_matches_reference(inits, pre_ops,
                                                 tokens, chunks):
     program = build_random_program(inits, pre_ops, loop_ops, n_loop)
     run_differential(program, tokens=tokens, chunks=chunks)
+
+
+# ---------------------------------------------------------------------------
+# page edges and the break
+# ---------------------------------------------------------------------------
+
+#: A block whose chunk spans two pages: it is the first allocation, so
+#: ``p`` is ``base + 16``, the chunk ends 16 bytes below the break, and
+#: ``p + PAGE_SIZE - 16`` is the first page edge and
+#: ``p + 2 * PAGE_SIZE - 16`` the break.
+EDGE_BLOCK = 2 * PAGE_SIZE - 32
+
+#: The access base ``e`` sits up to 24 bytes below the page edge or
+#: below the break, so the 0..32-byte offsets put loads and stores of
+#: every width before, across, exactly up to and past the boundary.
+_edge_shift = st.sampled_from((PAGE_SIZE - 16, 2 * PAGE_SIZE - 16)).flatmap(
+    lambda edge: st.integers(min_value=edge - 24, max_value=edge))
+_edge_off = st.integers(min_value=0, max_value=32)
+
+#: Stores are listed twice: they carry the dirty-page marking.
+_edge_op = st.one_of(
+    st.tuples(st.just("binop"), _sym, _var, _var, _var),
+    st.tuples(st.just("addi"), _var, _var,
+              st.integers(min_value=-8, max_value=64)),
+    st.tuples(st.just("out"), _var),
+    st.tuples(st.just("store"), _var, _edge_off, _size),
+    st.tuples(st.just("load"), _var, _edge_off, _size),
+    st.tuples(st.just("store"), _var, _edge_off, _size),
+    st.tuples(st.just("memset"), _var, _edge_off),
+    st.tuples(st.just("memcpy"), _edge_off),
+)
+_edge_ops = st.lists(_edge_op, max_size=16)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_inits, _edge_ops, _edge_ops, st.integers(min_value=0, max_value=8),
+       _edge_shift, st.booleans())
+def test_fuzz_page_edge_matches_reference(inits, pre_ops, loop_ops,
+                                          n_loop, shift, trace):
+    """Compiled loads and stores that straddle a page boundary, end
+    exactly on one, or run past the break: the memory snapshot (bytes
+    and dirty pages) and the SegmentationFault freeze must match the
+    reference interpreter's."""
+    program = build_random_program(inits, pre_ops, loop_ops, n_loop,
+                                   edge_shift=shift)
+    run_differential(program, trace=trace)
 
 
 # ---------------------------------------------------------------------------
